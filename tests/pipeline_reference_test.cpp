@@ -8,8 +8,12 @@
 // driver's body (pre-pass-manager squashProgram, stats bookkeeping elided);
 // every random program (the differential suite's 64 seeds, across the
 // option matrix) and every workload is squashed through both and the
-// resulting images compared byte for byte. This pins the refactor without
-// relying on platform-dependent embedded checksums.
+// resulting images compared byte for byte.
+//
+// ImageGolden additionally pins the CRC-32 of every workload's image under
+// the three configurations the end-to-end benchmark runs, so a change that
+// alters both pipelines alike (a deleted option, a reworked coder) still
+// shows up as a mismatch.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,9 +23,12 @@
 #include "link/Layout.h"
 #include "sim/Machine.h"
 #include "squash/Driver.h"
+#include "support/Checksum.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
 
 using namespace vea;
 using namespace squash;
@@ -163,12 +170,11 @@ TEST_P(PipelineReference, ByteIdenticalOnRandomPrograms) {
   }
 
   // The differential suite's configuration matrix: maximum candidate
-  // coverage, small buffer bound (multiple regions), MTF on odd seeds —
-  // plus the per-stage ablation toggles and their DisabledPasses twins.
+  // coverage, small buffer bound (multiple regions) — plus the per-stage
+  // ablation toggles and their DisabledPasses twins.
   Options Common;
   Common.Theta = 1.0;
   Common.BufferBoundBytes = 256;
-  Common.MoveToFront = (GetParam() % 2) == 1;
   expectPipelinesAgree(Prog, Prof, Common, SeedTag + " base");
 
   {
@@ -202,31 +208,31 @@ class PipelineReferenceWorkloads : public ::testing::TestWithParam<int> {};
 
 constexpr double WorkloadScale = 0.05;
 
-workloads::Workload buildWorkload(int Index) {
+workloads::Workload buildWorkload(int Index, double Scale = WorkloadScale) {
   using namespace workloads;
   switch (Index) {
   case 0:
-    return buildAdpcm(WorkloadScale);
+    return buildAdpcm(Scale);
   case 1:
-    return buildEpic(WorkloadScale);
+    return buildEpic(Scale);
   case 2:
-    return buildG721Dec(WorkloadScale);
+    return buildG721Dec(Scale);
   case 3:
-    return buildG721Enc(WorkloadScale);
+    return buildG721Enc(Scale);
   case 4:
-    return buildGsm(WorkloadScale);
+    return buildGsm(Scale);
   case 5:
-    return buildJpegDec(WorkloadScale);
+    return buildJpegDec(Scale);
   case 6:
-    return buildJpegEnc(WorkloadScale);
+    return buildJpegEnc(Scale);
   case 7:
-    return buildMpeg2Dec(WorkloadScale);
+    return buildMpeg2Dec(Scale);
   case 8:
-    return buildMpeg2Enc(WorkloadScale);
+    return buildMpeg2Enc(Scale);
   case 9:
-    return buildPgp(WorkloadScale);
+    return buildPgp(Scale);
   default:
-    return buildRasta(WorkloadScale);
+    return buildRasta(Scale);
   }
 }
 
@@ -250,14 +256,106 @@ TEST_P(PipelineReferenceWorkloads, ByteIdenticalOnWorkloads) {
   Opts.Theta = 1e-2;
   expectPipelinesAgree(W.Prog, Prof, Opts, W.Name);
 
-  Options Mtf = Opts;
-  Mtf.MoveToFront = true;
-  Mtf.BufferBoundBytes = 256;
-  expectPipelinesAgree(W.Prog, Prof, Mtf, W.Name + " mtf256");
+  Options Small = Opts;
+  Small.BufferBoundBytes = 256;
+  expectPipelinesAgree(W.Prog, Prof, Small, W.Name + " k256");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, PipelineReferenceWorkloads,
                          ::testing::Range(0, 11),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return workloadName(Info.param);
+                         });
+
+namespace {
+
+/// One pinned image: the CRC-32 of SquashedProgram::Img.Bytes for a
+/// workload (at GoldenScale) squashed under a named configuration.
+struct ImageGoldenRow {
+  const char *Workload;
+  const char *Config;
+  uint32_t Crc;
+};
+
+// The workloads at full size, as the end-to-end benchmark builds them.
+constexpr double GoldenScale = 1.0;
+
+// "huffman-0.01" is the paper's headline configuration, "auto-layout-0.01"
+// the offline compressor with every codec and profile layout on, and
+// "huffman-0.1" the trap-heavy configuration.
+constexpr ImageGoldenRow ImageGoldenRows[] = {
+    {"adpcm", "huffman-0.01", 0xABBAC71Fu},
+    {"adpcm", "auto-layout-0.01", 0xB4FDB0B2u},
+    {"adpcm", "huffman-0.1", 0xEA6D9ADEu},
+    {"epic", "huffman-0.01", 0x62000F25u},
+    {"epic", "auto-layout-0.01", 0xB82C7616u},
+    {"epic", "huffman-0.1", 0x13436ADBu},
+    {"g721_dec", "huffman-0.01", 0x82533FC0u},
+    {"g721_dec", "auto-layout-0.01", 0xA36B4A96u},
+    {"g721_dec", "huffman-0.1", 0x80395DEEu},
+    {"g721_enc", "huffman-0.01", 0x4D5440C8u},
+    {"g721_enc", "auto-layout-0.01", 0x5D2AEE5Au},
+    {"g721_enc", "huffman-0.1", 0xC643F8AFu},
+    {"gsm", "huffman-0.01", 0x00CE01D8u},
+    {"gsm", "auto-layout-0.01", 0x0603C311u},
+    {"gsm", "huffman-0.1", 0x23F0B821u},
+    {"jpeg_dec", "huffman-0.01", 0x49FE0832u},
+    {"jpeg_dec", "auto-layout-0.01", 0xAB92274Au},
+    {"jpeg_dec", "huffman-0.1", 0xC35AD100u},
+    {"jpeg_enc", "huffman-0.01", 0xC831D526u},
+    {"jpeg_enc", "auto-layout-0.01", 0x758BB60Du},
+    {"jpeg_enc", "huffman-0.1", 0xAB4A0AC6u},
+    {"mpeg2dec", "huffman-0.01", 0x1FCEA1FEu},
+    {"mpeg2dec", "auto-layout-0.01", 0x1FAE1292u},
+    {"mpeg2dec", "huffman-0.1", 0x328260F2u},
+    {"mpeg2enc", "huffman-0.01", 0xAF5573F0u},
+    {"mpeg2enc", "auto-layout-0.01", 0x1290B53Au},
+    {"mpeg2enc", "huffman-0.1", 0x3310E60Au},
+    {"pgp", "huffman-0.01", 0x6700B7D3u},
+    {"pgp", "auto-layout-0.01", 0x3A99C2BAu},
+    {"pgp", "huffman-0.1", 0x29FE3E18u},
+    {"rasta", "huffman-0.01", 0x27A9B290u},
+    {"rasta", "auto-layout-0.01", 0x5CF5CF59u},
+    {"rasta", "huffman-0.1", 0xCD5DB9E9u},
+};
+
+Options imageGoldenOptions(const std::string &Config) {
+  Options O;
+  O.Theta = Config == "huffman-0.1" ? 0.1 : 0.01;
+  if (Config == "auto-layout-0.01") {
+    O.Codec = "auto";
+    O.ProfileLayout = true;
+  }
+  return O;
+}
+
+class ImageGolden : public ::testing::TestWithParam<int> {};
+
+} // namespace
+
+TEST_P(ImageGolden, ImageCrcMatchesPinnedRow) {
+  workloads::Workload W = buildWorkload(GetParam(), GoldenScale);
+  compactProgram(W.Prog).take();
+  Profile Prof = profileImage(layoutProgram(W.Prog), W.ProfilingInput).take();
+
+  unsigned Checked = 0;
+  for (const ImageGoldenRow &Row : ImageGoldenRows) {
+    if (W.Name != Row.Workload)
+      continue;
+    ++Checked;
+    SquashResult R =
+        squashProgram(W.Prog, Prof, imageGoldenOptions(Row.Config)).take();
+    const uint32_t Crc =
+        vea::crc32(R.SP.Img.Bytes.data(), R.SP.Img.Bytes.size());
+    char Hex[16];
+    std::snprintf(Hex, sizeof(Hex), "0x%08X", Crc);
+    EXPECT_EQ(Crc, Row.Crc) << W.Name << " " << Row.Config << ": image CRC "
+                            << Hex;
+  }
+  EXPECT_EQ(Checked, 3u) << W.Name;
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, ImageGolden, ::testing::Range(0, 11),
                          [](const ::testing::TestParamInfo<int> &Info) {
                            return workloadName(Info.param);
                          });
