@@ -5,8 +5,8 @@
 //
 // Ablates the design choices DESIGN.md calls out, at the overhead-visible
 // threshold: region packing (Section 4), buffer-safe calls (Section 6.1),
-// unswitching vs exclusion (Section 6.2), move-to-front coding (Section 3),
-// and the buffer-reuse extension the paper leaves on the table.
+// unswitching vs exclusion (Section 6.2), whole-function regions, and the
+// buffer-reuse extension the paper leaves on the table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -47,18 +47,8 @@ int main() {
   }
   {
     Options O = Base;
-    O.MoveToFront = true;
-    Configs.push_back({"move-to-front", O});
-  }
-  {
-    Options O = Base;
     O.ReuseBufferedRegion = true;
     Configs.push_back({"reuse-buffer", O});
-  }
-  {
-    Options O = Base;
-    O.DeltaDisplacements = true;
-    Configs.push_back({"delta-disp", O});
   }
   {
     Options O = Base;
@@ -93,9 +83,8 @@ int main() {
 
   std::printf("\nreading: packing shrinks the offset table and stub count; "
               "buffer-safety trims stub traffic;\nunswitching admits "
-              "cold switch code; MTF and delta-disp trade decompressor "
-              "complexity for stream entropy;\nbuffer reuse (not in the "
-              "paper) removes re-decompression of the resident region;\n"
+              "cold switch code;\nbuffer reuse (not in the paper) removes "
+              "re-decompression of the resident region;\n"
               "whole-function regions are Section 4's strawman — fewer "
               "compressible blocks and a larger buffer.\n");
   return 0;

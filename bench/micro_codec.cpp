@@ -122,7 +122,7 @@ BENCHMARK(BM_HuffmanDecode);
 
 static void BM_RegionEncode(benchmark::State &State) {
   auto Region = syntheticRegion(static_cast<size_t>(State.range(0)), 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   for (auto _ : State) {
     BitWriter W;
     SC.encodeRegion(Region, W).check();
@@ -134,7 +134,7 @@ BENCHMARK(BM_RegionEncode)->Arg(32)->Arg(128)->Arg(512);
 
 static void BM_RegionDecode(benchmark::State &State) {
   auto Region = syntheticRegion(static_cast<size_t>(State.range(0)), 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   SC.encodeRegion(Region, W).check();
   std::vector<uint8_t> Blob = W.takeBytes();
@@ -157,7 +157,7 @@ BENCHMARK(BM_RegionDecode)->Arg(32)->Arg(128)->Arg(512);
 // identical to BM_RegionDecode's — only the host wall clock moves.
 static void BM_FastRegionDecode(benchmark::State &State) {
   auto Region = syntheticRegion(static_cast<size_t>(State.range(0)), 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   SC.encodeRegion(Region, W).check();
   std::vector<uint8_t> Blob = W.takeBytes();
@@ -182,35 +182,11 @@ BENCHMARK(BM_FastRegionDecode)
     ->Args({512, 8})
     ->Args({512, 14});
 
-// Move-to-front disables the fused instruction table, so this measures the
-// per-stream symbol tables alone (the decoder's slowest configuration).
-static void BM_FastRegionDecodeMTF(benchmark::State &State) {
-  auto Region = syntheticRegion(static_cast<size_t>(State.range(0)), 7);
-  StreamCodecs::Options CO;
-  CO.MoveToFront = true;
-  StreamCodecs SC = StreamCodecs::build({Region}, CO);
-  BitWriter W;
-  SC.encodeRegion(Region, W).check();
-  std::vector<uint8_t> Blob = W.takeBytes();
-  auto Tables = SC.fastTables(FastTables::DefaultBits);
-  for (auto _ : State) {
-    FastDecoder Dec(SC, Tables, Blob.data(), Blob.size(), 0);
-    MInst I;
-    uint64_t Count = 0;
-    while (Dec.next(I))
-      ++Count;
-    benchmark::DoNotOptimize(Count);
-  }
-  State.SetItemsProcessed(State.iterations() * Region.size());
-  tagSimCycles(State);
-}
-BENCHMARK(BM_FastRegionDecodeMTF)->Arg(512);
-
 // One-time table construction cost at each supported window width (paid at
 // image attach, then memoized per stream).
 static void BM_FastTableBuild(benchmark::State &State) {
   auto Region = syntheticRegion(512, 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   size_t Bytes = 0;
   for (auto _ : State) {
     auto Tables =

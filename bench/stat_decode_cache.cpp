@@ -14,8 +14,7 @@
 //     single-buffer baseline. The headline number is the decode-count
 //     reduction at 4 slots (acceptance floor: >= 5x).
 //  2. The real workload suite at theta-mid: thrash ratio paper-mode vs.
-//     4-slot cache, plus the squash pipeline's per-stage wall times with
-//     the serial and 4-thread region encoders.
+//     4-slot cache, plus the squash pipeline's per-stage wall times.
 //
 //===----------------------------------------------------------------------===//
 
@@ -152,13 +151,12 @@ int main() {
               "single buffer (acceptance floor: 5x). %s\n\n",
               Reduction, Reduction >= 5.0 ? "PASS" : "FAIL");
 
-  // Part 2: the real suite — thrash ratio and encoder wall times.
+  // Part 2: the real suite — thrash ratio and encoder wall time.
   auto Suite = prepareSuite();
   std::printf("-- workload suite at theta = %s --\n\n",
               thetaLabel(ThetaMid).c_str());
-  std::printf("%-10s %10s %10s %10s %12s %12s\n", "program",
-              "thrash@1buf", "thrash@4", "evict@4", "encode-1t(s)",
-              "encode-4t(s)");
+  std::printf("%-10s %10s %10s %10s %12s\n", "program", "thrash@1buf",
+              "thrash@4", "evict@4", "encode(s)");
   std::vector<double> Paper, Cached;
   std::vector<BenchRow> JsonRows;
   for (const CacheRow &R : Rows) {
@@ -169,18 +167,16 @@ int main() {
     Reg.setGauge("cache.thrash_ratio", R.Thrash);
     JsonRows.emplace_back("thrash/" + R.Label, Reg.toJson());
   }
-  double Serial1 = 0.0, Parallel4 = 0.0;
+  double EncodeTotal = 0.0;
   for (auto &P : Suite) {
     Options Base;
     Base.Theta = ThetaMid;
-    Base.SquashThreads = 1;
     SquashResult PaperSR = squashProgram(P.W.Prog, P.Prof, Base).take();
 
     Options CacheOpts = Base;
     CacheOpts.CacheSlots = 4;
     CacheOpts.ReuseBufferedRegion = true;
     CacheOpts.DirectResidentStubs = true;
-    CacheOpts.SquashThreads = 4;
     SquashResult CacheSR = squashProgram(P.W.Prog, P.Prof, CacheOpts).take();
 
     double PR = 1.0, CR = 0.0;
@@ -196,28 +192,20 @@ int main() {
       Evict = R.Runtime.Evictions;
       Cached.push_back(CR > 0 ? CR : 1e-6);
     }
-    Serial1 += PaperSR.Stats.EncodeSeconds;
-    Parallel4 += CacheSR.Stats.EncodeSeconds;
-    std::printf("%-10s %9.1f%% %9.1f%% %10llu %12.4f %12.4f\n",
-                P.W.Name.c_str(), 100.0 * PR, 100.0 * CR,
-                static_cast<unsigned long long>(Evict),
-                PaperSR.Stats.EncodeSeconds, CacheSR.Stats.EncodeSeconds);
+    EncodeTotal += PaperSR.Stats.EncodeSeconds;
+    std::printf("%-10s %9.1f%% %9.1f%% %10llu %12.4f\n", P.W.Name.c_str(),
+                100.0 * PR, 100.0 * CR, static_cast<unsigned long long>(Evict),
+                PaperSR.Stats.EncodeSeconds);
     vea::MetricsRegistry Reg;
     Reg.setGauge("cache.thrash_ratio_paper", PR);
     Reg.setGauge("cache.thrash_ratio_4slots", CR);
     Reg.setCounter("cache.evictions_4slots", Evict);
-    PaperSR.Stats.exportMetrics(Reg, "squash.serial.time.");
-    CacheSR.Stats.exportMetrics(Reg, "squash.4t.time.");
+    PaperSR.Stats.exportMetrics(Reg, "squash.time.");
     JsonRows.emplace_back(P.W.Name, Reg.toJson());
   }
   std::printf("\nsuite geomean thrash ratio: %.1f%% (paper mode) vs %.1f%% "
-              "(4 slots); total encode wall time %.4fs serial vs %.4fs with "
-              "4 workers.\n",
-              100.0 * geomean(Paper), 100.0 * geomean(Cached), Serial1,
-              Parallel4);
-  std::printf("note: encoded bytes are byte-identical across thread counts "
-              "(asserted by the differential suite); only wall time "
-              "changes.\n");
+              "(4 slots); total encode wall time %.4fs.\n",
+              100.0 * geomean(Paper), 100.0 * geomean(Cached), EncodeTotal);
   std::string Path = writeBenchJson("decode_cache", JsonRows);
   std::printf("wrote %zu row(s) to %s\n", JsonRows.size(), Path.c_str());
   return 0;

@@ -175,7 +175,7 @@ std::vector<MInst> syntheticHotRegion(size_t Len, uint64_t Seed) {
 double syntheticSpeedup(double &SlowNsOut, double &FastNsOut) {
   const size_t Len = 512;
   auto Region = syntheticHotRegion(Len, 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   SC.encodeRegion(Region, W).check();
   std::vector<uint8_t> Blob = W.takeBytes();
@@ -240,7 +240,7 @@ double syntheticSpeedup(double &SlowNsOut, double &FastNsOut) {
 double disabledSpanOverhead(double &PlainNsOut, double &SpannedNsOut) {
   const size_t Len = 512;
   auto Region = syntheticHotRegion(Len, 7);
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   SC.encodeRegion(Region, W).check();
   std::vector<uint8_t> Blob = W.takeBytes();

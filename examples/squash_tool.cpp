@@ -6,7 +6,7 @@
 // A command-line front end over the whole pipeline, driven by VEA-32
 // assembly source:
 //
-//   squash_tool [file.s] [--theta X] [--k BYTES] [--mtf] [--delta]
+//   squash_tool [file.s] [--theta X] [--k BYTES] [--disasm]
 //               [--codec NAME] [--print-codec-choices]
 //               [--layout] [--icache=LINES,SETS,WAYS]
 //               [--input BYTES...] [--profile-out FILE] [--profile-in FILE]...
@@ -17,6 +17,12 @@
 //               [--drift-report FILE] [--live-profile-out FILE]
 //               [--adapt N] [--drift-threshold X] [--probation-traps N]
 //               [--print-pipeline] [--stop-after=PASS] [--disable-pass=PASS]...
+//               [--help | -h]
+//
+// --help prints this flag list and exits 0. Numeric flags are parsed
+// whole and range-checked (theta in [0, 1], K > 0, counts and input bytes
+// non-negative); a bad value or an unknown flag exits 2 with a message
+// naming the flag.
 //
 // Assembles the program (or a built-in demo), compacts it, profiles it on
 // the given input bytes (or loads and merges saved profiles), squashes it,
@@ -39,8 +45,8 @@
 // --attrib-report prints the cycle-attribution ledger of the verification
 // run.
 //
-// --codec forces every region through one coder ("huffman", "pattern",
-// "context") or lets the codec-select pass pick per region ("auto");
+// --codec forces every region through one coder ("huffman", "pattern")
+// or lets the codec-select pass pick per region ("auto");
 // --print-codec-choices prints the per-region choice table after the
 // squash.
 //
@@ -82,6 +88,8 @@
 #include "squash/Telemetry.h"
 #include "support/Span.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,8 +156,6 @@ struct Args {
   std::string SourcePath;
   double Theta = 0.0;
   uint32_t K = 512;
-  bool Mtf = false;
-  bool Delta = false;
   bool Disasm = false;
   std::string Codec = "huffman";
   bool PrintCodecChoices = false;
@@ -167,6 +173,7 @@ struct Args {
   bool AttribReport = false;
   std::string DriftReportPath;
   std::string LiveProfileOut;
+  bool Help = false;
   bool PrintPipeline = false;
   std::string StopAfter;
   std::vector<std::string> DisabledPasses; ///< Repeatable.
@@ -174,6 +181,82 @@ struct Args {
   double DriftThreshold = 0.25;
   uint32_t ProbationTraps = 64;
 };
+
+/// The --help text: every flag parseArgs accepts.
+const char *UsageText = R"(usage: squash_tool [file.s] [flags]
+
+Assembles file.s (or a built-in demo), profiles, squashes, inspects, and
+verifies that the original and squashed runs agree.
+
+squash:
+  --theta X                 cold-code fraction theta, 0 <= X <= 1 (default 0)
+  --k BYTES                 runtime buffer bound K, > 0 (default 512)
+  --codec NAME              huffman, pattern, or auto (default huffman)
+  --print-codec-choices     print the per-region codec table
+  --layout                  profile-guided function placement
+  --icache=LINES,SETS,WAYS  verify under a simulated I-cache
+  --disasm                  disassemble the baseline and squashed images
+pipeline:
+  --print-pipeline          list the standard passes and exit
+  --stop-after=PASS         run the pipeline prefix ending at PASS
+  --disable-pass=PASS       skip PASS (repeatable)
+profiles and input:
+  --input BYTES...          guest input bytes, each 0..255
+  --profile-out FILE        write the training profile
+  --profile-in FILE         load a profile instead of profiling (repeatable;
+                            several are merged)
+observability (FILE may be "-" for stdout):
+  --metrics-json FILE       pipeline and runtime counters as JSON
+  --metrics-prom FILE       the same counters in Prometheus text format
+  --trace-out FILE          verification-run event trace (Chrome format)
+  --trace-capacity N        event-trace ring capacity, >= 0
+  --span-trace-out FILE     causal span trace (Chrome format)
+  --flight-record-out FILE  crash flight-recorder dump
+  --attrib-report           print the cycle-attribution ledger
+  --drift-report FILE       profile-drift report (JSON)
+  --live-profile-out FILE   live heat as a loadable profile
+adaptive re-squash:
+  --adapt N                 serve N requests adaptively, >= 0
+  --drift-threshold X       drift that triggers a re-squash, >= 0
+                            (default 0.25)
+  --probation-traps N       probation length in traps, >= 0 (default 64)
+  --help, -h                print this text and exit
+)";
+
+/// Parses all of \p Text as a number in [\p Lo, \p Hi]; otherwise prints
+/// a message naming \p Flag and returns false.
+bool parseReal(const char *Flag, const std::string &Text, double Lo,
+               double Hi, double &Out) {
+  char *End = nullptr;
+  double V = Text.empty() || std::isspace(static_cast<unsigned char>(Text[0]))
+                 ? NAN
+                 : std::strtod(Text.c_str(), &End);
+  if (End != Text.c_str() + Text.size() || !(V >= Lo && V <= Hi)) {
+    std::fprintf(stderr, "%s expects a number in [%g, %g], got '%s'\n", Flag,
+                 Lo, Hi, Text.c_str());
+    return false;
+  }
+  Out = V;
+  return true;
+}
+
+/// Parses all of \p Text as a decimal integer in [\p Lo, \p Hi];
+/// otherwise prints a message naming \p Flag and returns false.
+template <typename IntT>
+bool parseInt(const char *Flag, const std::string &Text, uint64_t Lo,
+              uint64_t Hi, IntT &Out) {
+  uint64_t V = 0;
+  const char *End = Text.c_str() + Text.size();
+  auto [Ptr, Ec] = std::from_chars(Text.c_str(), End, V);
+  if (Text.empty() || Ec != std::errc() || Ptr != End || V < Lo || V > Hi) {
+    std::fprintf(stderr, "%s expects an integer in [%llu, %llu], got '%s'\n",
+                 Flag, (unsigned long long)Lo, (unsigned long long)Hi,
+                 Text.c_str());
+    return false;
+  }
+  Out = static_cast<IntT>(V);
+  return true;
+}
 
 /// Matches "--flag=value" or "--flag value"; fills \p Value on a hit.
 bool flagWithValue(const std::string &S, const char *Flag, int Argc,
@@ -194,25 +277,24 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
   for (int I = 1; I < Argc; ++I) {
     std::string S = Argv[I];
     std::string V;
-    if (S == "--print-pipeline") {
+    if (S == "--help" || S == "-h") {
+      A.Help = true;
+    } else if (S == "--print-pipeline") {
       A.PrintPipeline = true;
     } else if (flagWithValue(S, "--stop-after", Argc, Argv, I, V)) {
       A.StopAfter = V;
     } else if (flagWithValue(S, "--disable-pass", Argc, Argv, I, V)) {
       A.DisabledPasses.push_back(V);
     } else if (S == "--theta" && I + 1 < Argc) {
-      A.Theta = std::atof(Argv[++I]);
+      if (!parseReal("--theta", Argv[++I], 0.0, 1.0, A.Theta))
+        return false;
     } else if (S == "--k" && I + 1 < Argc) {
-      A.K = static_cast<uint32_t>(std::atoi(Argv[++I]));
-    } else if (S == "--mtf") {
-      A.Mtf = true;
-    } else if (S == "--delta") {
-      A.Delta = true;
+      if (!parseInt("--k", Argv[++I], 1, UINT32_MAX, A.K))
+        return false;
     } else if (flagWithValue(S, "--codec", Argc, Argv, I, V)) {
       CodecKind Parsed;
       if (V != "auto" && !codecKindByName(V, Parsed)) {
-        std::fprintf(stderr,
-                     "unknown codec '%s' (huffman, pattern, context, auto)\n",
+        std::fprintf(stderr, "unknown codec '%s' (huffman, pattern, auto)\n",
                      V.c_str());
         return false;
       }
@@ -248,15 +330,22 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
     } else if (S == "--live-profile-out" && I + 1 < Argc) {
       A.LiveProfileOut = Argv[++I];
     } else if (S == "--adapt" && I + 1 < Argc) {
-      A.AdaptRuns = static_cast<uint32_t>(std::atoi(Argv[++I]));
+      if (!parseInt("--adapt", Argv[++I], 0, UINT32_MAX, A.AdaptRuns))
+        return false;
     } else if (S == "--drift-threshold" && I + 1 < Argc) {
-      A.DriftThreshold = std::atof(Argv[++I]);
+      if (!parseReal("--drift-threshold", Argv[++I], 0.0, HUGE_VAL,
+                     A.DriftThreshold))
+        return false;
     } else if (S == "--probation-traps" && I + 1 < Argc) {
-      A.ProbationTraps = static_cast<uint32_t>(std::atoi(Argv[++I]));
+      if (!parseInt("--probation-traps", Argv[++I], 0, UINT32_MAX,
+                    A.ProbationTraps))
+        return false;
     } else if (S == "--trace-out" && I + 1 < Argc) {
       A.TraceOut = Argv[++I];
     } else if (S == "--trace-capacity" && I + 1 < Argc) {
-      A.TraceCapacity = static_cast<uint32_t>(std::atoi(Argv[++I]));
+      if (!parseInt("--trace-capacity", Argv[++I], 0, UINT32_MAX,
+                    A.TraceCapacity))
+        return false;
     } else if (S == "--span-trace-out" && I + 1 < Argc) {
       A.SpanTraceOut = Argv[++I];
     } else if (S == "--flight-record-out" && I + 1 < Argc) {
@@ -264,8 +353,12 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
     } else if (S == "--attrib-report") {
       A.AttribReport = true;
     } else if (S == "--input") {
-      while (I + 1 < Argc && std::isdigit(Argv[I + 1][0]))
-        A.Input.push_back(static_cast<uint8_t>(std::atoi(Argv[++I])));
+      while (I + 1 < Argc && std::isdigit(Argv[I + 1][0])) {
+        uint8_t Byte = 0;
+        if (!parseInt("--input", Argv[++I], 0, 255, Byte))
+          return false;
+        A.Input.push_back(Byte);
+      }
     } else if (S[0] != '-') {
       A.SourcePath = S;
     } else {
@@ -323,6 +416,10 @@ int main(int Argc, char **Argv) {
   Args A;
   if (!parseArgs(Argc, Argv, A))
     return 2;
+  if (A.Help) {
+    std::fputs(UsageText, stdout);
+    return 0;
+  }
 
   // Telemetry switches flip on before any pipeline or runtime work so the
   // span trace covers the squash itself, not just the verification run.
@@ -406,8 +503,6 @@ int main(int Argc, char **Argv) {
   Options Opts;
   Opts.Theta = A.Theta;
   Opts.BufferBoundBytes = A.K;
-  Opts.MoveToFront = A.Mtf;
-  Opts.DeltaDisplacements = A.Delta;
   Opts.Codec = A.Codec;
   Opts.ProfileLayout = A.ProfileLayout;
   Opts.Icache = A.Icache;

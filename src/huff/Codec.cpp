@@ -15,8 +15,6 @@ const char *codecKindName(CodecKind Kind) {
     return "huffman";
   case CodecKind::Pattern:
     return "pattern";
-  case CodecKind::Context:
-    return "context";
   }
   return "unknown";
 }

@@ -16,8 +16,6 @@
 ///   - CodecKind::Pattern  — a pattern-table coder (huff/PatternCodec.h):
 ///     frequent instruction n-grams get short indices, an escape symbol
 ///     falls back to field-split Huffman.
-///   - CodecKind::Context  — an order-1 context coder (huff/ContextCodec.h):
-///     the previous opcode selects a per-context opcode code table.
 ///
 /// Every codec shares the region contract the runtime relies on: regions
 /// are independently decodable from a bit offset, the encoding carries its
@@ -43,15 +41,15 @@
 namespace squash {
 
 /// Identifies one region coder. The numeric values are image metadata
-/// (RegionImageInfo::Codec) and must never be reordered.
+/// (RegionImageInfo::Codec) and must never be reordered or reused: id 2
+/// named a since-removed coder, and attach rejects it as unknown.
 enum class CodecKind : uint8_t {
   Huffman = 0, ///< Splitting-streams canonical Huffman (the paper's coder).
   Pattern = 1, ///< n-gram pattern table + escape to field-split Huffman.
-  Context = 2, ///< Order-1 opcode-context code tables.
 };
-inline constexpr unsigned NumCodecKinds = 3;
+inline constexpr unsigned NumCodecKinds = 2;
 
-/// Stable lowercase name ("huffman", "pattern", "context").
+/// Stable lowercase name ("huffman", "pattern").
 const char *codecKindName(CodecKind Kind);
 
 /// Parses a codec name; returns false if \p Name is unknown. "auto" is a
@@ -60,8 +58,7 @@ bool codecKindByName(const std::string &Name, CodecKind &Out);
 
 /// What one region decode actually did, reported by every cursor so the
 /// runtime's cost model can charge codec-specific per-instruction costs
-/// (a pattern-table hit replays pre-decoded words; an order-1 context
-/// lookup costs more than an order-0 one).
+/// (a pattern-table hit replays pre-decoded words).
 struct DecodeWork {
   uint64_t Instructions = 0;   ///< Instructions produced.
   uint64_t PatternCovered = 0; ///< Produced from a pattern-table entry.

@@ -102,60 +102,56 @@ std::shared_ptr<const FastTables> FastTables::build(const StreamCodecs &Codecs,
   }
 
   // Fused instruction table: resolve the opcode, then as many operand
-  // fields of its format as still fit in the window. Only meaningful when
-  // MTF is off — with MTF the opcode symbol is a recency index, so the
-  // format (and every subsequent stream) depends on mutable decoder state.
-  if (!Codecs.options().MoveToFront) {
-    T->FusedCtl.assign(Size, 0);
-    T->FusedVals.assign(Size, {});
-    const uint8_t *OpLen =
-        T->SymLen.data() + (static_cast<size_t>(idx(FieldKind::Opcode)) << Bits);
-    const uint32_t *OpVal =
-        T->SymVal.data() + (static_cast<size_t>(idx(FieldKind::Opcode)) << Bits);
-    for (uint32_t W = 0; W != Size; ++W) {
-      if (!OpLen[W])
-        continue; // Opcode escape.
-      const uint32_t OpSym = OpVal[W];
-      auto &Vals = T->FusedVals[W];
-      Vals[0] = OpSym;
-      unsigned Resolved = 1;
-      unsigned Used = OpLen[W];
-      if (OpSym == static_cast<uint32_t>(Opcode::Sentinel)) {
-        T->FusedCtl[W] = Used | FusedSentinelBit;
-        continue;
-      }
-      if (OpSym >= vea::NumOpcodes)
-        continue; // Escape: the slow path reports the stream corrupt.
-      const vea::FormatLayout &Layout =
-          vea::formatLayout(vea::formatOf(static_cast<Opcode>(OpSym)));
-      uint32_t Kinds = 0;
-      for (unsigned S = 1; S < Layout.Count; ++S)
-        Kinds |= static_cast<uint32_t>(Layout.Slots[S].Kind)
-                 << (FusedKindBits * (S - 1));
-      for (unsigned S = 1; S < Layout.Count; ++S) {
-        unsigned Rem = Bits - Used;
-        if (Rem == 0)
-          break;
-        const uint8_t *FLenTab =
-            T->SymLen.data() +
-            (static_cast<size_t>(idx(Layout.Slots[S].Kind)) << Bits);
-        // The bits after the consumed prefix, left-aligned in a fresh
-        // window; positions past Rem are zero padding, so an entry is
-        // trustworthy only when its codeword fits in Rem bits.
-        const uint32_t SubW = (W << Used) & (Size - 1);
-        const unsigned FLen = FLenTab[SubW];
-        if (!FLen || FLen > Rem)
-          break;
-        Vals[S] =
-            T->SymVal[(static_cast<size_t>(idx(Layout.Slots[S].Kind)) << Bits) |
-                      SubW];
-        Resolved = S + 1;
-        Used += FLen;
-      }
-      T->FusedCtl[W] = Used | (Resolved << FusedResolvedShift) |
-                       (Layout.Count << FusedCountShift) |
-                       (Kinds << FusedKindsShift);
+  // fields of its format as still fit in the window.
+  T->FusedCtl.assign(Size, 0);
+  T->FusedVals.assign(Size, {});
+  const uint8_t *OpLen =
+      T->SymLen.data() + (static_cast<size_t>(idx(FieldKind::Opcode)) << Bits);
+  const uint32_t *OpVal =
+      T->SymVal.data() + (static_cast<size_t>(idx(FieldKind::Opcode)) << Bits);
+  for (uint32_t W = 0; W != Size; ++W) {
+    if (!OpLen[W])
+      continue; // Opcode escape.
+    const uint32_t OpSym = OpVal[W];
+    auto &Vals = T->FusedVals[W];
+    Vals[0] = OpSym;
+    unsigned Resolved = 1;
+    unsigned Used = OpLen[W];
+    if (OpSym == static_cast<uint32_t>(Opcode::Sentinel)) {
+      T->FusedCtl[W] = Used | FusedSentinelBit;
+      continue;
     }
+    if (OpSym >= vea::NumOpcodes)
+      continue; // Escape: the slow path reports the stream corrupt.
+    const vea::FormatLayout &Layout =
+        vea::formatLayout(vea::formatOf(static_cast<Opcode>(OpSym)));
+    uint32_t Kinds = 0;
+    for (unsigned S = 1; S < Layout.Count; ++S)
+      Kinds |= static_cast<uint32_t>(Layout.Slots[S].Kind)
+               << (FusedKindBits * (S - 1));
+    for (unsigned S = 1; S < Layout.Count; ++S) {
+      unsigned Rem = Bits - Used;
+      if (Rem == 0)
+        break;
+      const uint8_t *FLenTab =
+          T->SymLen.data() +
+          (static_cast<size_t>(idx(Layout.Slots[S].Kind)) << Bits);
+      // The bits after the consumed prefix, left-aligned in a fresh
+      // window; positions past Rem are zero padding, so an entry is
+      // trustworthy only when its codeword fits in Rem bits.
+      const uint32_t SubW = (W << Used) & (Size - 1);
+      const unsigned FLen = FLenTab[SubW];
+      if (!FLen || FLen > Rem)
+        break;
+      Vals[S] =
+          T->SymVal[(static_cast<size_t>(idx(Layout.Slots[S].Kind)) << Bits) |
+                    SubW];
+      Resolved = S + 1;
+      Used += FLen;
+    }
+    T->FusedCtl[W] = Used | (Resolved << FusedResolvedShift) |
+                     (Layout.Count << FusedCountShift) |
+                     (Kinds << FusedKindsShift);
   }
 
   T->BuildNs = static_cast<uint64_t>(
@@ -191,15 +187,12 @@ std::shared_ptr<const FastTables> StreamCodecs::fastTables(unsigned Bits) const 
 // and tables reused by pointer would go stale the moment the codes
 // diverge. Starting from an empty memo forces a rebuild on first use.
 StreamCodecs::StreamCodecs(const StreamCodecs &Other)
-    : Opts(Other.Opts), Codes(Other.Codes), MtfInit(Other.MtfInit),
-      Stats(Other.Stats) {}
+    : Codes(Other.Codes), Stats(Other.Stats) {}
 
 StreamCodecs &StreamCodecs::operator=(const StreamCodecs &Other) {
   if (this == &Other)
     return *this;
-  Opts = Other.Opts;
   Codes = Other.Codes;
-  MtfInit = Other.MtfInit;
   Stats = Other.Stats;
   std::lock_guard<std::mutex> Lock(MemoMutex);
   FastMemo.reset();
@@ -210,8 +203,7 @@ StreamCodecs &StreamCodecs::operator=(const StreamCodecs &Other) {
 // keep matching the one live owner. The lock covers the transfer against
 // a concurrent fastTables() build on the source.
 StreamCodecs::StreamCodecs(StreamCodecs &&Other) noexcept
-    : Opts(std::move(Other.Opts)), Codes(std::move(Other.Codes)),
-      MtfInit(std::move(Other.MtfInit)), Stats(std::move(Other.Stats)) {
+    : Codes(std::move(Other.Codes)), Stats(std::move(Other.Stats)) {
   std::lock_guard<std::mutex> Lock(MemoMutex);
   FastMemo = std::move(Other.FastMemo);
   Other.FastMemo.reset();
@@ -220,9 +212,7 @@ StreamCodecs::StreamCodecs(StreamCodecs &&Other) noexcept
 StreamCodecs &StreamCodecs::operator=(StreamCodecs &&Other) noexcept {
   if (this == &Other)
     return *this;
-  Opts = std::move(Other.Opts);
   Codes = std::move(Other.Codes);
-  MtfInit = std::move(Other.MtfInit);
   Stats = std::move(Other.Stats);
   std::lock_guard<std::mutex> Lock(MemoMutex);
   FastMemo = std::move(Other.FastMemo);
@@ -240,18 +230,14 @@ FastDecoder::FastDecoder(const StreamCodecs &Codecs,
     : Codecs(Codecs), T(std::move(Tables)), Data(Data), NumBytes(NumBytes),
       Start(StartBit),
       Avail(StartBit <= 8 * NumBytes ? 8 * NumBytes - StartBit : 0),
-      NextByte(std::min(StartBit / 8, NumBytes)),
-      MtfOn(Codecs.options().MoveToFront),
-      DeltaOn(Codecs.options().DeltaDisplacements) {
+      NextByte(std::min(StartBit / 8, NumBytes)) {
   if (!T)
     T = FastTables::build(Codecs, FastTables::DefaultBits);
   TBits = T->bits();
   SymLenTab = T->SymLen.data();
   SymValTab = T->SymVal.data();
-  if (!MtfOn && !T->FusedCtl.empty()) {
-    FusedCtlTab = T->FusedCtl.data();
-    FusedValsTab = T->FusedVals.data();
-  }
+  FusedCtlTab = T->FusedCtl.data();
+  FusedValsTab = T->FusedVals.data();
   refill();
   // Discard the intra-byte prefix so the window starts exactly at
   // StartBit; these bits never count against Consumed.
@@ -259,9 +245,6 @@ FastDecoder::FastDecoder(const StreamCodecs &Codecs,
     Window <<= Skip;
     Have = Skip > Have ? 0 : Have - Skip;
   }
-  if (MtfOn)
-    for (unsigned K = 0; K != vea::NumFieldKinds; ++K)
-      Mtf[K] = Codecs.mtfInit(static_cast<FieldKind>(K));
 }
 
 bool FastDecoder::escapeSym(FieldKind Kind, uint32_t &Sym) {
@@ -319,26 +302,10 @@ bool FastDecoder::decodeSym(FieldKind Kind, uint32_t &Sym) {
 }
 
 bool FastDecoder::decodeField(FieldKind Kind, uint32_t &Value) {
-  uint32_t Sym;
-  if (!decodeSym(Kind, Sym)) {
+  if (!decodeSym(Kind, Value)) {
     Corrupt = true;
     return false;
   }
-  if (MtfOn) {
-    auto &List = Mtf[idx(Kind)];
-    if (Sym >= List.size()) {
-      Corrupt = true;
-      return false;
-    }
-    uint32_t V = List[Sym];
-    List.erase(List.begin() + static_cast<ptrdiff_t>(Sym));
-    List.insert(List.begin(), V);
-    Value = V;
-  } else {
-    Value = Sym;
-  }
-  if (DeltaOn && StreamCodecs::isDeltaKind(Kind))
-    Value = StreamCodecs::undeltaStep(Kind, Value, DeltaPrev[idx(Kind)]);
   return true;
 }
 

@@ -18,11 +18,10 @@
 ///    shortest matching codeword is longer than Bits (or that match no
 ///    codeword) carry an escape entry, and the decoder falls back to the
 ///    bit-by-bit canonical walk for that one symbol.
-///  - A fused instruction table (built only when MTF is off, since MTF
-///    makes the stream format depend on mutable recency-list state): each
-///    window resolves the opcode plus as many operand fields of its format
-///    as fit in the window, so a typical instruction costs one or two
-///    probes instead of one loop iteration per bit.
+///  - A fused instruction table: each window resolves the opcode plus as
+///    many operand fields of its format as fit in the window, so a typical
+///    instruction costs one or two probes instead of one loop iteration
+///    per bit.
 ///
 /// The decoder consumes exactly the bits the canonical decode would, pads
 /// the stream with zero bits past its end (matching BitReader's default
@@ -110,7 +109,6 @@ public:
                                                  unsigned Bits);
 
   unsigned bits() const { return Bits; }
-  bool fused() const { return !FusedCtl.empty(); }
   /// Host wall-clock nanoseconds spent constructing the tables.
   uint64_t buildNanos() const { return BuildNs; }
   /// Total host bytes of table storage.
@@ -126,7 +124,7 @@ private:
   std::vector<uint8_t> SymLen;
   std::vector<uint32_t> SymVal;
   std::array<EscStart, vea::NumFieldKinds> Esc;
-  /// Fused control words and per-window slot values; empty when MTF is on.
+  /// Fused control words and per-window slot values.
   std::vector<uint32_t> FusedCtl;
   std::vector<std::array<uint32_t, MaxSlots>> FusedVals;
 };
@@ -134,8 +132,8 @@ private:
 /// Streaming region decoder over the fast tables; drop-in equivalent of
 /// StreamCodecs::RegionDecoder (same next()/ok()/bitPosition() surface and
 /// verdicts), reading from a raw byte buffer at an arbitrary start bit.
-/// The fill path is allocation-free when MTF is off: the only per-call
-/// state is the 64-bit window and the delta registers.
+/// The fill path is allocation-free: the only per-call state is the 64-bit
+/// window.
 class FastDecoder {
 public:
   /// \p Tables must come from \p Codecs (fastTables()); passing nullptr
@@ -227,11 +225,9 @@ private:
   /// One symbol of stream \p Kind via its table (escaping as needed);
   /// false on invalid codeword or overrun.
   bool decodeSym(vea::FieldKind Kind, uint32_t &Sym);
-  /// One field value: symbol decode plus the MTF and delta inverse
-  /// transforms. Sets Corrupt on failure.
+  /// One field value via decodeSym. Sets Corrupt on failure.
   bool decodeField(vea::FieldKind Kind, uint32_t &Value);
-  /// Field-at-a-time instruction decode (fused-table escape path and the
-  /// MTF configuration).
+  /// Field-at-a-time instruction decode (the fused-table escape path).
   bool slowNext(vea::MInst &Inst);
 
   const StreamCodecs &Codecs;
@@ -250,12 +246,7 @@ private:
   uint64_t Window = 0; ///< Upcoming bits, MSB-aligned at bit 63.
   unsigned Have = 0;   ///< Valid bits currently in the window.
   uint64_t Consumed = 0;
-  bool MtfOn, DeltaOn;
   bool Corrupt = false, Done = false;
-  /// Per-stream MTF recency lists (only populated when MTF is on).
-  std::array<std::vector<uint32_t>, vea::NumFieldKinds> Mtf;
-  /// Per-stream previous values for delta decoding.
-  std::array<uint32_t, vea::NumFieldKinds> DeltaPrev = {};
 };
 
 inline size_t FastDecoder::decodeRun(vea::MInst *Out, size_t Max) {
@@ -264,11 +255,6 @@ inline size_t FastDecoder::decodeRun(vea::MInst *Out, size_t Max) {
   if (Corrupt || Done)
     return 0;
   size_t N = 0;
-  if (!FusedCtlTab) {
-    while (N != Max && slowNext(Out[N]))
-      ++N;
-    return N;
-  }
 
   // The whole run decodes on a local copy of the bit cursor so the probe
   // chain lives in registers: stores into Out (a pointer of unknown
@@ -354,13 +340,9 @@ inline size_t FastDecoder::decodeRun(vea::MInst *Out, size_t Max) {
     for (; S != Resolved; ++S, Kinds >>= FastTables::FusedKindBits) {
       const FieldKind Kind =
           static_cast<FieldKind>(Kinds & ((1u << FastTables::FusedKindBits) - 1));
-      uint32_t V = Vals[S];
-      if (DeltaOn && StreamCodecs::isDeltaKind(Kind))
-        V = StreamCodecs::undeltaStep(Kind, V,
-                                      DeltaPrev[static_cast<unsigned>(Kind)]);
       // Slots past 0 are never the opcode, so the raw field store skips
       // set()'s opcode-resync branch.
-      Inst.Fields[static_cast<unsigned>(Kind)] = V;
+      Inst.Fields[static_cast<unsigned>(Kind)] = Vals[S];
     }
     // Fields past the window: one table probe each on the local cursor,
     // handing the remaining fields to the member-state path on a miss.
@@ -396,11 +378,7 @@ inline size_t FastDecoder::decodeRun(vea::MInst *Out, size_t Max) {
         Corrupt = true;
         return N;
       }
-      uint32_t V = SymValTab[Ix];
-      if (DeltaOn && StreamCodecs::isDeltaKind(Kind))
-        V = StreamCodecs::undeltaStep(Kind, V,
-                                      DeltaPrev[static_cast<unsigned>(Kind)]);
-      Inst.Fields[static_cast<unsigned>(Kind)] = V;
+      Inst.Fields[static_cast<unsigned>(Kind)] = SymValTab[Ix];
     }
     ++N;
   }

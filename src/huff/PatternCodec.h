@@ -132,7 +132,7 @@ private:
   std::vector<std::vector<uint32_t>> PatternWords;
   /// Selector code over {0..P-1, ESCAPE=P, END=P+1}.
   CanonicalCode Selector;
-  /// Escape field codes, one per stream (order-0, no MTF/delta).
+  /// Escape field codes, one per stream (order-0).
   std::array<CanonicalCode, vea::NumFieldKinds> Esc;
   uint64_t TableBitsCache = 0;
 };

@@ -13,11 +13,6 @@
 /// stream (an opcode fully determines which field codes follow). A region's
 /// encoding ends with the sentinel opcode.
 ///
-/// Optionally each stream is move-to-front transformed before coding
-/// (Section 3 notes this helps some streams at the cost of a bigger, slower
-/// decompressor); MTF state resets at every region boundary so regions stay
-/// independently decompressible.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef SQUASH_HUFF_STREAMCODEC_H
@@ -51,14 +46,6 @@ struct StreamStats {
 /// value list per stream for the whole compressed program).
 class StreamCodecs {
 public:
-  struct Options {
-    bool MoveToFront = false;
-    /// Delta-encode the displacement streams (disp16/disp21) before
-    /// entropy coding; state resets at region boundaries. Applied before
-    /// MTF when both are enabled.
-    bool DeltaDisplacements = false;
-  };
-
   StreamCodecs() = default;
 
   /// The memoized fast-table pointer is mutable shared state guarded by
@@ -76,12 +63,7 @@ public:
   ~StreamCodecs() = default;
 
   /// Builds codes from the corpus: one instruction sequence per region.
-  static StreamCodecs build(const std::vector<std::vector<vea::MInst>> &Corpus,
-                            Options Opts);
-  static StreamCodecs build(
-      const std::vector<std::vector<vea::MInst>> &Corpus) {
-    return build(Corpus, Options());
-  }
+  static StreamCodecs build(const std::vector<std::vector<vea::MInst>> &Corpus);
 
   /// Encodes one region (terminated by the sentinel opcode codeword).
   /// Fails with EncodingError if an instruction carries a value outside
@@ -105,34 +87,23 @@ public:
     const StreamCodecs &Codecs;
     vea::BitReader Reader;
     bool Corrupt = false;
-    /// Per-stream MTF recency lists (only used when MTF is enabled).
-    std::array<std::vector<uint32_t>, vea::NumFieldKinds> Mtf;
-    /// Per-stream previous values for delta decoding.
-    std::array<uint32_t, vea::NumFieldKinds> DeltaPrev = {};
   };
 
   /// Total bits of all stream code representations (counted against the
   /// compressed program's footprint).
   uint64_t tableBits() const;
 
-  /// Writes every stream's code representation (and MTF dictionaries, when
-  /// enabled) into \p W — the "code representation and value list for each
-  /// stream" that the paper stores with the compressed program.
+  /// Writes every stream's code representation into \p W — the "code
+  /// representation and value list for each stream" that the paper stores
+  /// with the compressed program.
   void serializeTables(vea::BitWriter &W) const;
 
   /// Per-stream statistics over the corpus the codes were built from.
   const std::vector<StreamStats> &stats() const { return Stats; }
 
-  bool moveToFront() const { return Opts.MoveToFront; }
-  const Options &options() const { return Opts; }
-
   /// The canonical code of one stream.
   const CanonicalCode &code(vea::FieldKind Kind) const {
     return Codes[static_cast<unsigned>(Kind)];
-  }
-  /// Initial MTF recency list of one stream (empty when MTF is off).
-  const std::vector<uint32_t> &mtfInit(vea::FieldKind Kind) const {
-    return MtfInit[static_cast<unsigned>(Kind)];
   }
 
   /// Structural validation of every stream's code (see
@@ -156,32 +127,8 @@ public:
     return Codes[static_cast<unsigned>(Kind)];
   }
 
-  /// The streams the delta-displacement transform applies to, and its
-  /// forward/inverse steps. Shared with FastDecoder so the two decode
-  /// paths can never drift apart.
-  static bool isDeltaKind(vea::FieldKind Kind) {
-    return Kind == vea::FieldKind::Disp16 || Kind == vea::FieldKind::Disp21;
-  }
-  static uint32_t deltaStep(vea::FieldKind Kind, uint32_t Value,
-                            uint32_t &Prev) {
-    uint32_t Mask = vea::fieldMask(Kind);
-    uint32_t Out = (Value - Prev) & Mask;
-    Prev = Value;
-    return Out;
-  }
-  static uint32_t undeltaStep(vea::FieldKind Kind, uint32_t Coded,
-                              uint32_t &Prev) {
-    uint32_t Mask = vea::fieldMask(Kind);
-    uint32_t Value = (Prev + Coded) & Mask;
-    Prev = Value;
-    return Value;
-  }
-
 private:
-  Options Opts;
   std::array<CanonicalCode, vea::NumFieldKinds> Codes;
-  /// Initial MTF dictionaries (distinct values, most frequent first).
-  std::array<std::vector<uint32_t>, vea::NumFieldKinds> MtfInit;
   std::vector<StreamStats> Stats;
   /// Memoized fast-decode tables (immutable once built; never shared
   /// across copies — see the special members above). Guarded by the

@@ -51,7 +51,7 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
   if (!Auto && !codecKindByName(Mode, Forced))
     return Status::error(StatusCode::InvalidArgument,
                          "codec-select: unknown codec '" + Mode +
-                             "' (huffman, pattern, context, auto)");
+                             "' (huffman, pattern, auto)");
   // The legacy single-coder configuration needs no plan; an empty plan
   // keeps the rewriter's blob byte-identical to the pre-plan pipeline.
   if (Ctx.Part.Regions.empty() || (!Auto && Forced == CodecKind::Huffman))
@@ -68,21 +68,16 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
   const CostModel &C = Opts.Costs;
 
   CodecPlan Plan;
-  if (Auto || Forced == CodecKind::Pattern)
-    Plan.Pattern = PatternCodec::build(Stored);
-  if (Auto || Forced == CodecKind::Context)
-    Plan.Context = ContextCodec::build(Stored);
+  Plan.Pattern = PatternCodec::build(Stored);
 
   if (!Auto) {
-    // Forced mode: every region uses the named coder. Trial-encode now so
-    // a value outside the coder's alphabet is a clean pipeline Status
+    // Forced mode: every region uses the pattern coder. Trial-encode now
+    // so a value outside the coder's alphabet is a clean pipeline Status
     // here instead of a surprise inside image emission.
     for (size_t R = 0; R != N; ++R) {
       uint64_t Bits = 0;
       DecodeWork Work;
-      Status St = Forced == CodecKind::Pattern
-                      ? Plan.Pattern.measureRegion(Stored[R], Bits, Work)
-                      : Plan.Context.measureRegion(Stored[R], Bits, Work);
+      Status St = Plan.Pattern.measureRegion(Stored[R], Bits, Work);
       if (!St.ok())
         return St.context("codec-select: region " + std::to_string(R));
     }
@@ -94,10 +89,7 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
   // Auto mode. The Huffman candidate is priced with codes built over the
   // whole corpus (the pre-selection baseline); the safety valve below
   // re-prices the surviving Huffman regions with their subset codes.
-  StreamCodecs::Options CO;
-  CO.MoveToFront = Opts.MoveToFront;
-  CO.DeltaDisplacements = Opts.DeltaDisplacements;
-  const StreamCodecs HuffAll = StreamCodecs::build(Stored, CO);
+  const StreamCodecs HuffAll = StreamCodecs::build(Stored);
 
   std::vector<std::array<Trial, NumCodecKinds>> Trials(N);
   for (size_t R = 0; R != N; ++R) {
@@ -118,10 +110,6 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
         !St.ok())
       return Fail(std::move(St));
     Trials[R][1] = {Bits, codecDecodeCycles(C, CodecKind::Pattern, Work)};
-    if (Status St = Plan.Context.measureRegion(Stored[R], Bits, Work);
-        !St.ok())
-      return Fail(std::move(St));
-    Trials[R][2] = {Bits, codecDecodeCycles(C, CodecKind::Context, Work)};
   }
 
   // Per-region argmin of bits x cycles; ties break toward the lowest
@@ -152,21 +140,13 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
   for (size_t R = 0; R != N; ++R)
     if (Pick[R] == CodecKind::Huffman)
       HuffCorpus.push_back(Stored[R]);
-  bool UsePattern = false, UseContext = false;
-  for (CodecKind K : Pick) {
-    UsePattern |= K == CodecKind::Pattern;
-    UseContext |= K == CodecKind::Context;
-  }
-  uint64_t PlanBits = 0, PlanCycles = 0;
+  // Some region picked the pattern coder, so its tables are stored.
+  uint64_t PlanBits = serializedTableBits(Plan.Pattern), PlanCycles = 0;
   StreamCodecs HuffSub;
   if (!HuffCorpus.empty()) {
-    HuffSub = StreamCodecs::build(HuffCorpus, CO);
+    HuffSub = StreamCodecs::build(HuffCorpus);
     PlanBits += serializedTableBits(HuffSub);
   }
-  if (UsePattern)
-    PlanBits += serializedTableBits(Plan.Pattern);
-  if (UseContext)
-    PlanBits += serializedTableBits(Plan.Context);
   for (size_t R = 0; R != N; ++R) {
     if (Pick[R] == CodecKind::Huffman) {
       BitWriter Scratch;

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// The codec-select pass: one of the "other algorithms for compression"
-/// the paper's future work contemplates, made concrete. The pipeline now
-/// carries three region coders (huff/Codec.h) — the paper's splitting-
-/// streams Huffman coder, a pattern-dictionary coder, and an order-1
-/// opcode-context coder — and this pass picks one per region by trial-
-/// encoding the region with each and minimizing the modeled objective
+/// the paper's future work contemplates, made concrete. The pipeline
+/// carries two region coders (huff/Codec.h) — the paper's splitting-
+/// streams Huffman coder and a pattern-dictionary coder — and this pass
+/// picks one per region by trial-encoding the region with each and
+/// minimizing the modeled objective
 ///
 ///   payload bits x decode cycles
 ///
@@ -24,7 +24,7 @@
 /// "auto" can never regress the paper's baseline coder.
 ///
 /// Options::Codec selects the mode: "huffman" (empty plan, byte-identical
-/// legacy blob), "pattern" / "context" (force every region), or "auto".
+/// legacy blob), "pattern" (force every region), or "auto".
 /// Any other name is an InvalidArgument pipeline failure.
 ///
 //===----------------------------------------------------------------------===//

@@ -35,9 +35,6 @@ struct CostModel {
   /// pattern (a table copy, far cheaper than a canonical decode); escaped
   /// instructions pay CyclesPerDecodedInstr.
   uint64_t PatternCyclesPerCoveredInstr = 6;
-  /// Context-codec charge per decoded instruction (an extra indirection
-  /// per opcode to pick the context table).
-  uint64_t ContextCyclesPerDecodedInstr = 28;
 };
 
 /// Modeled cycle charge for decoding one region fill with codec \p Kind,
@@ -53,8 +50,6 @@ inline uint64_t codecDecodeCycles(const CostModel &C, CodecKind Kind,
   case CodecKind::Pattern:
     return C.PatternCyclesPerCoveredInstr * W.PatternCovered +
            C.CyclesPerDecodedInstr * W.Escapes;
-  case CodecKind::Context:
-    return C.ContextCyclesPerDecodedInstr * W.Instructions;
   }
   return C.CyclesPerDecodedInstr * W.Instructions;
 }

@@ -84,7 +84,6 @@ void SquashStats::exportMetrics(vea::MetricsRegistry &R,
   R.setGauge(Prefix + "rewrite_seconds", RewriteSeconds);
   R.setGauge(Prefix + "encode_seconds", EncodeSeconds);
   R.setGauge(Prefix + "total_seconds", TotalSeconds);
-  R.setCounter(Prefix + "encode_threads", EncodeThreads);
 }
 
 Expected<Profile> squash::profileImage(const Image &Img,

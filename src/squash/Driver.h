@@ -55,10 +55,9 @@ struct SquashStats {
                                   ///< (includes EncodeSeconds).
   double EncodeSeconds = 0.0;     ///< Per-region compression only.
   double TotalSeconds = 0.0;
-  uint32_t EncodeThreads = 1;     ///< Workers the encode pass used.
 
-  /// Registers per-stage wall times (gauges, seconds) and the encode worker
-  /// count under \p Prefix (DESIGN.md §12).
+  /// Registers per-stage wall times (gauges, seconds) under \p Prefix
+  /// (DESIGN.md §12).
   void exportMetrics(vea::MetricsRegistry &R,
                      const std::string &Prefix = "squash.time.") const;
 };

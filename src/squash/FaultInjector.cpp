@@ -295,27 +295,16 @@ std::optional<FaultReport> FaultInjector::inject(SquashedProgram &SP,
   }
 
   case FaultKind::CodecTableCorrupt: {
-    // Damage a non-Huffman codec's host-mirror table: the pattern coder's
-    // selector code or the context coder's merged-fallback opcode table.
-    // Attach's per-codec validate() must reject the image before any trap
-    // could decode through the broken table.
-    bool AnyPattern = false, AnyContext = false;
-    for (const RegionImageInfo &RI : SP.Regions) {
+    // Damage the pattern coder's host-mirror selector code. Attach's
+    // per-codec validate() must reject the image before any trap could
+    // decode through the broken table.
+    bool AnyPattern = false;
+    for (const RegionImageInfo &RI : SP.Regions)
       AnyPattern |= RI.Codec == static_cast<uint8_t>(CodecKind::Pattern);
-      AnyContext |= RI.Codec == static_cast<uint8_t>(CodecKind::Context);
-    }
-    if (!AnyPattern && !AnyContext)
+    if (!AnyPattern)
       return std::nullopt;
-    bool HitPattern =
-        AnyPattern && (!AnyContext || R.nextBelow(2) == 0);
-    if (HitPattern) {
-      SP.Pattern.selectorCodeForFault().truncateValueListForFault();
-      return report(K, 0,
-                    "truncated the pattern codec's selector value list");
-    }
-    SP.Context.opcodeTableForFault(0).truncateValueListForFault();
-    return report(K, 0,
-                  "truncated the context codec's fallback opcode table");
+    SP.Pattern.selectorCodeForFault().truncateValueListForFault();
+    return report(K, 0, "truncated the pattern codec's selector value list");
   }
   }
   return std::nullopt;

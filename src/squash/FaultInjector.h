@@ -67,12 +67,12 @@ enum class FaultKind : uint8_t {
                         ///< StreamCodecs::validate() must reject it.
                         ///< Applicable only when some region decodes
                         ///< through the Huffman stream codes.
-  CodecTableCorrupt,    ///< Truncate a pattern-selector or context-opcode
+  CodecTableCorrupt,    ///< Truncate the pattern coder's selector
                         ///< code's value list in the host mirror: a stored
                         ///< non-Huffman codec table damaged at rest.
                         ///< Attach's per-codec validate() must reject it.
                         ///< Applicable only when some region uses the
-                        ///< pattern or context coder.
+                        ///< pattern coder.
 };
 
 const char *faultKindName(FaultKind K);

@@ -7,8 +7,6 @@
 
 #include "squash/Observability.h"
 
-#include "squash/DriftMonitor.h"
-
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -255,11 +253,4 @@ void squash::seedPredictorFromHeat(RegionPredictor &P,
                                    const std::vector<RegionHeat> &Report) {
   for (const RegionHeat &H : Report)
     P.seedHeat(H.Region, H.Decompressions + H.BufferedHits);
-}
-
-void squash::seedPredictorFromDrift(RegionPredictor &P,
-                                    const DriftMonitor &Drift,
-                                    uint32_t NumRegions) {
-  for (uint32_t R = 0; R != NumRegions; ++R)
-    P.seedHeat(R, Drift.liveEntries(R));
 }

@@ -84,8 +84,6 @@ void collectSquashMetrics(vea::MetricsRegistry &Reg, const SquashResult &R);
 /// and trace accounting (events retained/dropped) into \p Reg.
 void collectRunMetrics(vea::MetricsRegistry &Reg, const SquashedRun &Run);
 
-class DriftMonitor;
-
 /// Pre-seeds a decode-ahead predictor from a prior run's trace: replays
 /// the decompressor-entry events (EnterViaStub / EnterViaRestore) in
 /// order, so the predictor starts with the previous run's transition
@@ -97,12 +95,6 @@ void seedPredictorFromEvents(RegionPredictor &P,
 /// report (fills + hits per region).
 void seedPredictorFromHeat(RegionPredictor &P,
                            const std::vector<RegionHeat> &Report);
-
-/// Pre-seeds the predictor's global-heat fallback from a DriftMonitor's
-/// live entry counts, \p NumRegions being the squashed program's region
-/// count.
-void seedPredictorFromDrift(RegionPredictor &P, const DriftMonitor &Drift,
-                            uint32_t NumRegions);
 
 } // namespace squash
 

@@ -65,20 +65,10 @@ struct Options {
   /// switch blocks and their targets are simply excluded from compression.
   bool Unswitch = true;
 
-  /// Move-to-front transform ahead of the Huffman coder (Section 3 notes
-  /// it helps some streams but grows the decompressor).
-  bool MoveToFront = false;
-
-  /// Delta-encodes the displacement streams (disp16/disp21) before entropy
-  /// coding — one of the "other algorithms for compression" the paper's
-  /// future work contemplates. Resets at region boundaries.
-  bool DeltaDisplacements = false;
-
   /// Region coder selection: "huffman" (the paper's splitting-streams
   /// coder, the default), "pattern" (dictionary of frequent instruction
-  /// n-grams with a Huffman escape), "context" (order-1 opcode-context
-  /// code tables), or "auto" (the codec-select pass picks the best coder
-  /// per region by modeled size x decode-cost). Any other name is an
+  /// n-grams with a Huffman escape), or "auto" (the codec-select pass
+  /// picks the better coder per region by modeled size x decode-cost). Any other name is an
   /// InvalidArgument error from the pipeline.
   std::string Codec = "huffman";
 
@@ -123,12 +113,6 @@ struct Options {
   /// the original bsr word is restored on eviction. Has no effect when the
   /// cache is inactive (the paper's protocol always traps).
   bool DirectResidentStubs = true;
-
-  /// Worker threads for the offline per-region compression pass. 0 means
-  /// one per hardware thread; 1 forces the serial path. The parallel path
-  /// produces byte-identical output to serial order (regions are encoded
-  /// independently and concatenated in region order).
-  uint32_t SquashThreads = 0;
 
   /// Capacity of the restore-stub area (the paper observed at most 9 live
   /// stubs even at θ = 0.01).

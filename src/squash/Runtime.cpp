@@ -208,9 +208,6 @@ Status RuntimeSystem::attach(Machine &M) {
   if (UsesCodec[static_cast<unsigned>(CodecKind::Pattern)])
     if (Status CS = SP.Pattern.validate(); !CS.ok())
       return CS;
-  if (UsesCodec[static_cast<unsigned>(CodecKind::Context)])
-    if (Status CS = SP.Context.validate(); !CS.ok())
-      return CS;
 
   // Build (or reuse) the fast-decode tables while we are off the trap
   // path; fastTables() memoizes per codec, so repeat attaches of the same

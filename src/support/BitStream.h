@@ -42,27 +42,6 @@ public:
     BitPos = (BitPos + 1) & 7;
   }
 
-  /// Appends the first \p NumBits bits of \p Data (MSB-first within each
-  /// byte), preserving bit order across any current misalignment. Used to
-  /// concatenate independently produced bitstreams deterministically.
-  void appendBits(const uint8_t *Data, size_t NumBits) {
-    size_t FullBytes = NumBits / 8;
-    if (BitPos == 0) {
-      // Aligned fast path: whole bytes splice in directly.
-      Bytes.insert(Bytes.end(), Data, Data + FullBytes);
-    } else {
-      for (size_t I = 0; I != FullBytes; ++I)
-        writeBits(Data[I], 8);
-    }
-    if (unsigned Rem = static_cast<unsigned>(NumBits % 8))
-      writeBits(static_cast<uint64_t>(Data[FullBytes]) >> (8 - Rem), Rem);
-  }
-
-  /// Appends every bit of \p Other.
-  void append(const BitWriter &Other) {
-    appendBits(Other.bytes().data(), Other.bitSize());
-  }
-
   /// Pads with zero bits to the next byte boundary.
   void alignToByte() { BitPos = 0; }
 

@@ -8,7 +8,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 using namespace vea;
@@ -49,29 +48,6 @@ bool ThreadPool::waitFor(double Seconds) {
   return AllDone.wait_for(
       Lock, std::chrono::duration<double>(std::max(Seconds, 0.0)),
       [this] { return Tasks.empty() && Running == 0; });
-}
-
-void ThreadPool::parallelFor(size_t NumTasks,
-                             const std::function<void(size_t)> &Body) {
-  if (NumTasks == 0)
-    return;
-  // One claim-loop task per worker instead of one task per index: N may be
-  // much larger than the pool, and indices stay cheap to hand out.
-  auto Next = std::make_shared<std::atomic<size_t>>(0);
-  size_t Lanes = std::min<size_t>(Workers.size(), NumTasks);
-  for (size_t L = 0; L != Lanes; ++L)
-    enqueue([Next, NumTasks, &Body] {
-      for (size_t I = (*Next)++; I < NumTasks; I = (*Next)++)
-        Body(I);
-    });
-  wait();
-}
-
-unsigned ThreadPool::effectiveThreads(unsigned Requested, size_t NumTasks) {
-  unsigned N =
-      Requested ? Requested : std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::max<size_t>(1, std::min<size_t>(N, NumTasks)));
 }
 
 void ThreadPool::workerLoop() {

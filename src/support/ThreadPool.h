@@ -6,11 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool for the offline squash pipeline. The one
-/// pattern the pipeline needs is an indexed parallel-for with deterministic
-/// result placement: N independent tasks, each writing its own slot of a
-/// pre-sized output vector, joined before the caller continues. Tasks must
-/// not throw.
+/// A small fixed-size thread pool for host-side background work: the
+/// runtime's decode-ahead worker and the adaptive controller's background
+/// re-squash. Callers enqueue tasks and wait for them to drain (with or
+/// without a deadline). Tasks must not throw.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,17 +49,6 @@ public:
   /// running; callers that must not use their results anymore invalidate
   /// them on their side — see squash/Adaptive's generation counter).
   bool waitFor(double Seconds);
-
-  /// Runs Body(0..NumTasks-1) across the pool's workers and waits for all
-  /// of them. Indices are claimed atomically, so tasks may complete in any
-  /// order — callers that need determinism index into pre-sized output
-  /// storage.
-  void parallelFor(size_t NumTasks, const std::function<void(size_t)> &Body);
-
-  /// Clamped worker count for \p NumTasks independent tasks under the
-  /// \p Requested setting (0 = hardware concurrency): never more threads
-  /// than tasks, never zero.
-  static unsigned effectiveThreads(unsigned Requested, size_t NumTasks);
 
 private:
   void workerLoop();

@@ -4,7 +4,7 @@
 // Compression" (Debray & Evans, PLDI 2002).
 //
 // The Codec interface contract and the codec-select pass built on it:
-// pattern and context coders round-trip exactly and deterministically,
+// the pattern coder round-trips exactly and deterministically,
 // their trial measurement (measureRegion) agrees bit-for-bit with the real
 // encoder and work-for-work with the real decoder (the property the
 // selection objective and the runtime cost charge both rest on), damaged
@@ -17,7 +17,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "compact/Compact.h"
-#include "huff/ContextCodec.h"
 #include "huff/PatternCodec.h"
 #include "link/Layout.h"
 #include "squash/CodecSelect.h"
@@ -50,8 +49,7 @@ MInst randomInst(Rng &R) {
 }
 
 /// A corpus with deliberate n-gram repetition (so the pattern coder has a
-/// dictionary to mine) and skewed opcode sequencing (so the context coder
-/// has peaked conditionals to exploit).
+/// dictionary to mine) and skewed opcode sequencing.
 std::vector<std::vector<MInst>> patternedCorpus(Rng &R, size_t Regions,
                                                 size_t MaxLen) {
   // A handful of motifs repeated throughout, interleaved with noise.
@@ -216,16 +214,6 @@ TEST(PatternCodec, RoundTripsCorpusWithoutRepetition) {
   roundTripExactly(C, Corpus);
 }
 
-TEST(ContextCodec, RoundTripsExactlyWithExactMeasurement) {
-  Rng R(3033);
-  auto Corpus = patternedCorpus(R, 16, 120);
-  ContextCodec C = ContextCodec::build(Corpus);
-  ASSERT_TRUE(C.present());
-  ASSERT_TRUE(C.validate().ok());
-  EXPECT_GE(C.numOpcodeTables(), 1u);
-  roundTripExactly(C, Corpus);
-}
-
 TEST(CodecBuild, IsDeterministic) {
   Rng R1(7711), R2(7711);
   auto CorpusA = patternedCorpus(R1, 12, 100);
@@ -235,10 +223,6 @@ TEST(CodecBuild, IsDeterministic) {
   PatternCodec PA = PatternCodec::build(CorpusA);
   PatternCodec PB = PatternCodec::build(CorpusB);
   EXPECT_EQ(serializedTables(PA), serializedTables(PB));
-
-  ContextCodec XA = ContextCodec::build(CorpusA);
-  ContextCodec XB = ContextCodec::build(CorpusB);
-  EXPECT_EQ(serializedTables(XA), serializedTables(XB));
 
   // Same corpus, same codec -> same bits for every region.
   BitWriter WA, WB;
@@ -251,14 +235,10 @@ TEST(CodecBuild, IsDeterministic) {
 
 TEST(CodecBuild, AbsentCodecRefusesWork) {
   PatternCodec P;
-  ContextCodec X;
   EXPECT_FALSE(P.present());
-  EXPECT_FALSE(X.present());
   EXPECT_FALSE(P.validate().ok());
-  EXPECT_FALSE(X.validate().ok());
   BitWriter W;
   EXPECT_FALSE(P.encodeRegion({}, W).ok());
-  EXPECT_FALSE(X.encodeRegion({}, W).ok());
 }
 
 TEST(CodecValidate, RejectsTruncatedTables) {
@@ -271,13 +251,6 @@ TEST(CodecValidate, RejectsTruncatedTables) {
   Status PS = P.validate();
   ASSERT_FALSE(PS.ok());
   EXPECT_EQ(PS.code(), StatusCode::MalformedImage);
-
-  ContextCodec X = ContextCodec::build(Corpus);
-  ASSERT_TRUE(X.validate().ok());
-  X.opcodeTableForFault(0).truncateValueListForFault();
-  Status XS = X.validate();
-  ASSERT_FALSE(XS.ok());
-  EXPECT_EQ(XS.code(), StatusCode::MalformedImage);
 }
 
 TEST(CodecNames, RoundTripAndRejectAuto) {
@@ -290,6 +263,7 @@ TEST(CodecNames, RoundTripAndRejectAuto) {
   CodecKind Unused;
   EXPECT_FALSE(codecKindByName("auto", Unused));
   EXPECT_FALSE(codecKindByName("zstd", Unused));
+  EXPECT_FALSE(codecKindByName("context", Unused));
 }
 
 //===----------------------------------------------------------------------===//
@@ -309,39 +283,37 @@ TEST(CodecSelect, UnknownCodecNameIsInvalidArgument) {
 
 TEST(CodecSelect, ForcedCodecRunsEndToEndWithPerCodecStats) {
   WorkloadFixture Fx;
-  for (const char *Codec : {"pattern", "context"}) {
-    SCOPED_TRACE(Codec);
-    SquashResult SR = Fx.squash(Codec);
-    ASSERT_FALSE(SR.Identity);
+  const char *Codec = "pattern";
+  SquashResult SR = Fx.squash(Codec);
+  ASSERT_FALSE(SR.Identity);
 
-    CodecKind Want;
-    ASSERT_TRUE(codecKindByName(Codec, Want));
-    for (size_t R = 0; R != SR.SP.Regions.size(); ++R)
-      EXPECT_EQ(SR.SP.regionCodec(R), Want) << "region " << R;
+  CodecKind Want;
+  ASSERT_TRUE(codecKindByName(Codec, Want));
+  for (size_t R = 0; R != SR.SP.Regions.size(); ++R)
+    EXPECT_EQ(SR.SP.regionCodec(R), Want) << "region " << R;
 
-    SquashedRun Run = runSquashed(SR.SP, Fx.W.TimingInput);
-    ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
-    EXPECT_EQ(Run.Run.ExitCode, Fx.Base.ExitCode);
-    EXPECT_EQ(Run.Output, Fx.BaseOutput);
+  SquashedRun Run = runSquashed(SR.SP, Fx.W.TimingInput);
+  ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
+  EXPECT_EQ(Run.Run.ExitCode, Fx.Base.ExitCode);
+  EXPECT_EQ(Run.Output, Fx.BaseOutput);
 
-    // Every fill was charged to the forced codec, none to the others.
-    ASSERT_GT(Run.Runtime.Decompressions, 0u);
-    for (unsigned K = 0; K != NumCodecKinds; ++K) {
-      if (static_cast<CodecKind>(K) == Want) {
-        EXPECT_EQ(Run.Runtime.FillsByCodec[K], Run.Runtime.Decompressions);
-        EXPECT_GT(Run.Runtime.DecodeCyclesByCodec[K], 0u);
-      } else {
-        EXPECT_EQ(Run.Runtime.FillsByCodec[K], 0u);
-        EXPECT_EQ(Run.Runtime.DecodeCyclesByCodec[K], 0u);
-      }
+  // Every fill was charged to the forced codec, none to the others.
+  ASSERT_GT(Run.Runtime.Decompressions, 0u);
+  for (unsigned K = 0; K != NumCodecKinds; ++K) {
+    if (static_cast<CodecKind>(K) == Want) {
+      EXPECT_EQ(Run.Runtime.FillsByCodec[K], Run.Runtime.Decompressions);
+      EXPECT_GT(Run.Runtime.DecodeCyclesByCodec[K], 0u);
+    } else {
+      EXPECT_EQ(Run.Runtime.FillsByCodec[K], 0u);
+      EXPECT_EQ(Run.Runtime.DecodeCyclesByCodec[K], 0u);
     }
-
-    // The per-codec counters surface in the metrics export.
-    MetricsRegistry Reg;
-    Run.Runtime.exportMetrics(Reg);
-    EXPECT_TRUE(Reg.has(std::string("runtime.fills_") + Codec));
-    EXPECT_TRUE(Reg.has(std::string("runtime.decode_cycles_") + Codec));
   }
+
+  // The per-codec counters surface in the metrics export.
+  MetricsRegistry Reg;
+  Run.Runtime.exportMetrics(Reg);
+  EXPECT_TRUE(Reg.has(std::string("runtime.fills_") + Codec));
+  EXPECT_TRUE(Reg.has(std::string("runtime.decode_cycles_") + Codec));
 }
 
 TEST(CodecSelect, AutoIsNeverWorseThanAlwaysHuffman) {
@@ -399,7 +371,7 @@ TEST(CodecSelect, ForcedHuffmanMatchesLegacyImageByteForByte) {
 
 TEST(Footprint, TotalsEqualOnDiskImageBytesUnderEveryCodec) {
   WorkloadFixture Fx;
-  for (const char *Codec : {"huffman", "pattern", "context", "auto"}) {
+  for (const char *Codec : {"huffman", "pattern", "auto"}) {
     SCOPED_TRACE(Codec);
     SquashResult SR = Fx.squash(Codec);
     ASSERT_FALSE(SR.Identity);
@@ -412,12 +384,10 @@ TEST(Footprint, TotalsEqualOnDiskImageBytesUnderEveryCodec) {
     // table escapes the charge.
     EXPECT_EQ(F.CompressedBytes, L.BlobBytes);
     EXPECT_EQ(F.CompressedBytes,
-              (F.HuffmanTableBits + F.PatternTableBits + F.ContextTableBits +
-               F.PayloadBits + 7) /
+              (F.HuffmanTableBits + F.PatternTableBits + F.PayloadBits + 7) /
                   8);
     EXPECT_GT(F.PayloadBits, 0u);
-    EXPECT_GT(F.HuffmanTableBits + F.PatternTableBits + F.ContextTableBits,
-              0u);
+    EXPECT_GT(F.HuffmanTableBits + F.PatternTableBits, 0u);
 
     // The word-counted segments tile the image up to the data segment.
     EXPECT_EQ(4u * (F.NeverCompressedWords + F.EntryStubWords +
@@ -459,10 +429,14 @@ TEST(FormatVersion, RegionWithUnknownCodecIdIsRejected) {
   WorkloadFixture Fx;
   SquashResult SR = Fx.squash("huffman");
   ASSERT_FALSE(SR.Identity);
-  SquashedProgram SP = SR.SP;
-  SP.Regions[0].Codec = NumCodecKinds; // First invalid id.
-  SquashedRun Run = runSquashed(SP, Fx.W.TimingInput);
-  ASSERT_EQ(Run.Run.Status, RunStatus::Fault);
-  EXPECT_NE(Run.Run.FaultMessage.find("unknown codec"), std::string::npos)
-      << Run.Run.FaultMessage;
+  // The first invalid id, and id 2, which the retired context coder used:
+  // an image naming it must fail attach, never decode as another codec.
+  for (uint8_t Bad : {static_cast<uint8_t>(NumCodecKinds), uint8_t{2}}) {
+    SquashedProgram SP = SR.SP;
+    SP.Regions[0].Codec = Bad;
+    SquashedRun Run = runSquashed(SP, Fx.W.TimingInput);
+    ASSERT_EQ(Run.Run.Status, RunStatus::Fault) << "codec id " << int(Bad);
+    EXPECT_NE(Run.Run.FaultMessage.find("unknown codec"), std::string::npos)
+        << Run.Run.FaultMessage;
+  }
 }

@@ -82,7 +82,6 @@ TEST(CostModel, DefaultConstants) {
   EXPECT_EQ(C.IcacheFlushCycles, 32u);
   EXPECT_EQ(C.CreateStubCycles, 16u);
   EXPECT_EQ(C.PatternCyclesPerCoveredInstr, 6u);
-  EXPECT_EQ(C.ContextCyclesPerDecodedInstr, 28u);
 }
 
 TEST(CostModel, CodecDecodeCycleFormulas) {
@@ -95,15 +94,12 @@ TEST(CostModel, CodecDecodeCycleFormulas) {
   EXPECT_EQ(codecDecodeCycles(C, CodecKind::Huffman, W), 100u * 24u);
   EXPECT_EQ(codecDecodeCycles(C, CodecKind::Pattern, W),
             70u * 6u + 30u * 24u);
-  EXPECT_EQ(codecDecodeCycles(C, CodecKind::Context, W), 100u * 28u);
 
   // The formulas scale with the constants, not with baked-in numbers.
   C.CyclesPerDecodedInstr = 5;
   C.PatternCyclesPerCoveredInstr = 2;
-  C.ContextCyclesPerDecodedInstr = 9;
   EXPECT_EQ(codecDecodeCycles(C, CodecKind::Huffman, W), 500u);
   EXPECT_EQ(codecDecodeCycles(C, CodecKind::Pattern, W), 70u * 2u + 30u * 5u);
-  EXPECT_EQ(codecDecodeCycles(C, CodecKind::Context, W), 900u);
 }
 
 TEST(CostModel, RegionFillChargeSplitsFlatVsModeledFlush) {
@@ -147,8 +143,6 @@ TEST(CostModel, RuntimeChargesMatchEventCountsTimesConstants) {
       St.DecodedInstructions * C.CyclesPerDecodedInstr);
   EXPECT_EQ(
       St.DecodeOnlyCyclesByCodec[static_cast<size_t>(CodecKind::Pattern)], 0u);
-  EXPECT_EQ(
-      St.DecodeOnlyCyclesByCodec[static_cast<size_t>(CodecKind::Context)], 0u);
 }
 
 TEST(CostModel, ModeledIcacheDropsFlatFlushCharge) {

@@ -167,17 +167,9 @@ TEST_P(WorkloadEquivalence, AcrossOptionToggles) {
   NoUnswitch.Unswitch = false;
   expectEquivalent(P, NoUnswitch, "no-unswitch");
 
-  Options Mtf = Base;
-  Mtf.MoveToFront = true;
-  expectEquivalent(P, Mtf, "mtf");
-
   Options Reuse = Base;
   Reuse.ReuseBufferedRegion = true;
   expectEquivalent(P, Reuse, "reuse-buffer");
-
-  Options Delta = Base;
-  Delta.DeltaDisplacements = true;
-  expectEquivalent(P, Delta, "delta-disp");
 
   Options Whole = Base;
   Whole.WholeFunctionRegions = true;

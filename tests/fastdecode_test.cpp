@@ -8,8 +8,7 @@
 // positions after every decode, same clean-end/corrupt verdicts — on every
 // stream, valid or not. This suite pins that equivalence three ways:
 //
-//  - Conformance: random corpora across every transform configuration
-//    (plain / MTF / delta / both) and table width, plus the deliberate
+//  - Conformance: random corpora at every table width, plus the deliberate
 //    edge cases — codes longer than the probe window, single-symbol
 //    alphabets, empty regions, streams starting at every intra-byte bit
 //    offset, and regions long enough to cross many 64-bit window refills.
@@ -133,9 +132,8 @@ void expectSameDecode(const DecodeTrace &Fast, const DecodeTrace &Slow,
 /// Decodes every region of \p Corpus through both decoders at table width
 /// \p Bits and asserts full agreement.
 void expectCorpusConformance(const std::vector<std::vector<MInst>> &Corpus,
-                             StreamCodecs::Options CodecOpts, unsigned Bits,
-                             const std::string &Tag) {
-  StreamCodecs SC = StreamCodecs::build(Corpus, CodecOpts);
+                             unsigned Bits, const std::string &Tag) {
+  StreamCodecs SC = StreamCodecs::build(Corpus);
   BitWriter W;
   std::vector<size_t> Offsets;
   for (const auto &Region : Corpus) {
@@ -145,7 +143,6 @@ void expectCorpusConformance(const std::vector<std::vector<MInst>> &Corpus,
   std::vector<uint8_t> Blob = W.takeBytes();
   std::shared_ptr<const FastTables> Tables = FastTables::build(SC, Bits);
   ASSERT_TRUE(Tables);
-  EXPECT_EQ(Tables->fused(), !CodecOpts.MoveToFront);
 
   for (size_t R = 0; R != Corpus.size(); ++R) {
     const std::string RegionTag =
@@ -160,38 +157,26 @@ void expectCorpusConformance(const std::vector<std::vector<MInst>> &Corpus,
   }
 }
 
-/// Parameter bits: 1 = move-to-front, 2 = delta displacements.
-class FastDecodeConformance : public ::testing::TestWithParam<int> {
-protected:
-  StreamCodecs::Options codecOptions() const {
-    StreamCodecs::Options Opts;
-    Opts.MoveToFront = (GetParam() & 1) != 0;
-    Opts.DeltaDisplacements = (GetParam() & 2) != 0;
-    return Opts;
-  }
-};
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
 // Conformance on valid streams
 //===----------------------------------------------------------------------===//
 
-TEST_P(FastDecodeConformance, RandomCorporaMatchSlowDecoderAtEveryWidth) {
+TEST(FastDecodeConformance, RandomCorporaMatchSlowDecoderAtEveryWidth) {
   // Long regions (up to 200 instructions) cross the 64-bit refill window
   // hundreds of times, so every intra-window alignment of a codeword —
   // including codes straddling a refill — is exercised.
-  Rng R(4242 + GetParam() * 13);
+  Rng R(4242);
   auto Corpus = randomCorpus(R, 12, 200);
   for (unsigned Bits : {FastTables::MinBits, 6u, 8u, FastTables::DefaultBits,
                         FastTables::MaxBits})
-    expectCorpusConformance(Corpus, codecOptions(), Bits,
-                            "cfg " + std::to_string(GetParam()));
+    expectCorpusConformance(Corpus, Bits, "random");
 }
 
-TEST_P(FastDecodeConformance, BoundaryFieldValuesMatchSlowDecoder) {
+TEST(FastDecodeConformance, BoundaryFieldValuesMatchSlowDecoder) {
   // Every legal opcode with every field at 0 and at its width's maximum,
-  // forward and reversed (delta wrap-around both directions).
+  // forward and reversed.
   std::vector<MInst> Region;
   for (unsigned O = 1; O != NumOpcodes; ++O) {
     Opcode Op = static_cast<Opcode>(O);
@@ -209,11 +194,8 @@ TEST_P(FastDecodeConformance, BoundaryFieldValuesMatchSlowDecoder) {
   std::vector<MInst> Reversed(Region.rbegin(), Region.rend());
   Region.insert(Region.end(), Reversed.begin(), Reversed.end());
   for (unsigned Bits : {FastTables::MinBits, FastTables::DefaultBits})
-    expectCorpusConformance({Region}, codecOptions(), Bits, "boundary");
+    expectCorpusConformance({Region}, Bits, "boundary");
 }
-
-INSTANTIATE_TEST_SUITE_P(PlainMtfDelta, FastDecodeConformance,
-                         ::testing::Range(0, 4));
 
 TEST(FastDecode, StartBitAtEveryIntraByteOffset) {
   // A region's blob offset is an arbitrary bit position; the fast decoder's
@@ -222,7 +204,7 @@ TEST(FastDecode, StartBitAtEveryIntraByteOffset) {
   std::vector<MInst> Region;
   for (int I = 0; I != 120; ++I)
     Region.push_back(randomInst(R));
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   std::shared_ptr<const FastTables> Tables =
       FastTables::build(SC, FastTables::DefaultBits);
 
@@ -246,7 +228,7 @@ TEST(FastDecode, SingleSymbolAlphabetsAndEmptyRegions) {
   // sentinel. Null tables exercise the private-build fallback path.
   std::vector<std::vector<MInst>> Corpus = {
       std::vector<MInst>(64, makeRRR(Opcode::Add, 7, 7, 7)), {}};
-  StreamCodecs SC = StreamCodecs::build(Corpus, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build(Corpus);
   BitWriter W;
   std::vector<size_t> Offsets;
   for (const auto &Region : Corpus) {
@@ -283,7 +265,7 @@ TEST(FastDecode, MaxLengthCodesEscapeThroughEveryTableWidth) {
     A = B;
     B = Next;
   }
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   ASSERT_GT(SC.code(FieldKind::Lit8).maxLength(), FastTables::MaxBits)
       << "corpus no longer produces codes longer than the widest table";
   BitWriter W;
@@ -304,7 +286,7 @@ TEST(FastDecode, MaxLengthCodesEscapeThroughEveryTableWidth) {
 TEST(FastDecode, TablesAreMemoizedAndWidthClamped) {
   Rng R(3);
   auto Corpus = randomCorpus(R, 4, 50);
-  StreamCodecs SC = StreamCodecs::build(Corpus, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build(Corpus);
 
   std::shared_ptr<const FastTables> A = SC.fastTables(11);
   std::shared_ptr<const FastTables> B = SC.fastTables(11);
@@ -318,62 +300,58 @@ TEST(FastDecode, TablesAreMemoizedAndWidthClamped) {
 
 // The batch surface must be observationally identical to a next() loop at
 // every chunk size — including chunks that land mid-region, on the
-// sentinel, and past it — on both the fused and the MTF (slow-path-only)
-// configurations, and on truncated streams.
+// sentinel, and past it — and on truncated streams.
 TEST(FastDecode, DecodeRunChunksMatchNextAtEveryBoundary) {
   Rng R(777);
   auto Corpus = randomCorpus(R, 4, 200);
-  for (bool Mtf : {false, true}) {
-    StreamCodecs::Options Opts;
-    Opts.MoveToFront = Mtf;
-    StreamCodecs SC = StreamCodecs::build(Corpus, Opts);
-    BitWriter W;
-    std::vector<size_t> Offsets;
-    for (const auto &Region : Corpus) {
-      Offsets.push_back(W.bitSize());
-      ASSERT_TRUE(SC.encodeRegion(Region, W).ok());
-    }
-    std::vector<uint8_t> Blob = W.takeBytes();
-    auto Tables = FastTables::build(SC, FastTables::DefaultBits);
-    // A truncated copy exercises the corrupt-verdict exits as well.
-    std::vector<uint8_t> Cut(Blob.begin(), Blob.begin() + Blob.size() / 2);
+  StreamCodecs SC = StreamCodecs::build(Corpus);
+  BitWriter W;
+  std::vector<size_t> Offsets;
+  for (const auto &Region : Corpus) {
+    Offsets.push_back(W.bitSize());
+    ASSERT_TRUE(SC.encodeRegion(Region, W).ok());
+  }
+  std::vector<uint8_t> Blob = W.takeBytes();
+  auto Tables = FastTables::build(SC, FastTables::DefaultBits);
+  // A truncated copy exercises the corrupt-verdict exits as well.
+  std::vector<uint8_t> Cut(Blob.begin(), Blob.begin() + Blob.size() / 2);
 
-    for (const std::vector<uint8_t> &Bytes : {Blob, Cut}) {
-      for (size_t RIx = 0; RIx != Corpus.size(); ++RIx) {
-        if (Offsets[RIx] >= 8 * Bytes.size())
-          continue;
-        // Reference: a plain next() loop, final cursor state included.
-        std::vector<uint32_t> Ref;
-        FastDecoder RefDec(SC, Tables, Bytes.data(), Bytes.size(),
-                           Offsets[RIx]);
-        MInst I;
-        while (Ref.size() < DecodeCap && RefDec.next(I))
-          Ref.push_back(encode(I));
+  for (const std::vector<uint8_t> &Bytes : {Blob, Cut}) {
+    for (size_t RIx = 0; RIx != Corpus.size(); ++RIx) {
+      if (Offsets[RIx] >= 8 * Bytes.size())
+        continue;
+      // Reference: a plain next() loop, final cursor state included.
+      std::vector<uint32_t> Ref;
+      FastDecoder RefDec(SC, Tables, Bytes.data(), Bytes.size(),
+                         Offsets[RIx]);
+      MInst I;
+      while (Ref.size() < DecodeCap && RefDec.next(I))
+        Ref.push_back(encode(I));
 
-        for (size_t Chunk : {1u, 2u, 3u, 7u, 64u, 4096u}) {
-          const std::string Tag = std::string(Mtf ? "mtf" : "fused") +
-                                  (Bytes.size() == Cut.size() ? " cut" : "") +
-                                  " region " + std::to_string(RIx) +
-                                  " chunk " + std::to_string(Chunk);
-          FastDecoder Dec(SC, Tables, Bytes.data(), Bytes.size(),
-                          Offsets[RIx]);
-          EXPECT_EQ(Dec.decodeRun(nullptr, 0), 0u) << Tag;
-          std::vector<MInst> Out(Chunk);
-          std::vector<uint32_t> Got;
-          while (Got.size() < DecodeCap) {
-            const size_t N = Dec.decodeRun(Out.data(), Chunk);
-            if (!N)
-              break;
-            for (size_t K = 0; K != N; ++K)
-              Got.push_back(encode(Out[K]));
-          }
-          ASSERT_EQ(Got.size(), Ref.size()) << Tag;
-          for (size_t K = 0; K != Got.size(); ++K)
-            ASSERT_EQ(Got[K], Ref[K]) << Tag << ": instruction " << K;
-          EXPECT_EQ(Dec.ok(), RefDec.ok()) << Tag;
-          EXPECT_EQ(Dec.atEnd(), RefDec.atEnd()) << Tag;
-          EXPECT_EQ(Dec.bitPosition(), RefDec.bitPosition()) << Tag;
+      for (size_t Chunk : {1u, 2u, 3u, 7u, 64u, 4096u}) {
+        const std::string Tag = std::string(Bytes.size() == Cut.size()
+                                                 ? "cut"
+                                                 : "whole") +
+                                " region " + std::to_string(RIx) +
+                                " chunk " + std::to_string(Chunk);
+        FastDecoder Dec(SC, Tables, Bytes.data(), Bytes.size(),
+                        Offsets[RIx]);
+        EXPECT_EQ(Dec.decodeRun(nullptr, 0), 0u) << Tag;
+        std::vector<MInst> Out(Chunk);
+        std::vector<uint32_t> Got;
+        while (Got.size() < DecodeCap) {
+          const size_t N = Dec.decodeRun(Out.data(), Chunk);
+          if (!N)
+            break;
+          for (size_t K = 0; K != N; ++K)
+            Got.push_back(encode(Out[K]));
         }
+        ASSERT_EQ(Got.size(), Ref.size()) << Tag;
+        for (size_t K = 0; K != Got.size(); ++K)
+          ASSERT_EQ(Got[K], Ref[K]) << Tag << ": instruction " << K;
+        EXPECT_EQ(Dec.ok(), RefDec.ok()) << Tag;
+        EXPECT_EQ(Dec.atEnd(), RefDec.atEnd()) << Tag;
+        EXPECT_EQ(Dec.bitPosition(), RefDec.bitPosition()) << Tag;
       }
     }
   }
@@ -395,10 +373,10 @@ struct FuzzCorpus {
   std::vector<size_t> Offsets;
   std::shared_ptr<const FastTables> Narrow, Wide;
 
-  explicit FuzzCorpus(StreamCodecs::Options Opts) {
+  FuzzCorpus() {
     Rng R(90210);
     auto Corpus = randomCorpus(R, 8, 120);
-    SC = StreamCodecs::build(Corpus, Opts);
+    SC = StreamCodecs::build(Corpus);
     BitWriter W;
     for (const auto &Region : Corpus) {
       Offsets.push_back(W.bitSize());
@@ -426,7 +404,7 @@ TEST(FastDecodeFuzz, TruncatedStreamsAgreeAtEveryLength) {
   // can land inside any codeword of any stream, which is exactly where the
   // fast decoder's zero-padding and overrun accounting must match the
   // BitReader's.
-  FuzzCorpus F{StreamCodecs::Options()};
+  FuzzCorpus F;
   for (size_t Len = 0; Len <= F.Blob.size(); ++Len) {
     std::vector<uint8_t> Cut(F.Blob.begin(), F.Blob.begin() + Len);
     F.expectAgreement(Cut, 0, "truncate " + std::to_string(Len));
@@ -434,13 +412,9 @@ TEST(FastDecodeFuzz, TruncatedStreamsAgreeAtEveryLength) {
 }
 
 TEST(FastDecodeFuzz, BitFlipsAgreeOnVerdictAndPrefix) {
-  FuzzCorpus Plain{StreamCodecs::Options()};
-  StreamCodecs::Options MtfOpts;
-  MtfOpts.MoveToFront = true;
-  FuzzCorpus Mtf{MtfOpts};
+  FuzzCorpus F;
   Rng R(1337);
   for (int Trial = 0; Trial != 300; ++Trial) {
-    const FuzzCorpus &F = (Trial & 1) ? Mtf : Plain;
     std::vector<uint8_t> Bytes = F.Blob;
     size_t Bit = R.nextBelow(Bytes.size() * 8);
     Bytes[Bit / 8] ^= static_cast<uint8_t>(0x80u >> (Bit % 8));
@@ -455,14 +429,9 @@ TEST(FastDecodeFuzz, GarbageStreamsAgreeAndNeverCrash) {
   // Pure noise, every buffer length 0..64 and random start bits: both
   // decoders must walk the same instruction prefix, return the same
   // verdict, and stay inside the buffer (the asan job proves the latter).
-  FuzzCorpus Plain{StreamCodecs::Options()};
-  StreamCodecs::Options MtfOpts;
-  MtfOpts.MoveToFront = true;
-  MtfOpts.DeltaDisplacements = true;
-  FuzzCorpus Mtf{MtfOpts};
+  FuzzCorpus F;
   Rng R(5150);
   for (int Trial = 0; Trial != 300; ++Trial) {
-    const FuzzCorpus &F = (Trial & 1) ? Mtf : Plain;
     std::vector<uint8_t> Bytes(R.nextBelow(65));
     for (uint8_t &Byte : Bytes)
       Byte = static_cast<uint8_t>(R.next());
@@ -560,13 +529,10 @@ TEST_P(FastDecodeDifferential, RandomProgramsIdenticalOnAndOff) {
   Profile Prof = profileImage(Compacted, {}).take();
 
   // θ = 1.0 with a small buffer bound: every block a candidate, several
-  // regions, maximum decoder coverage. MTF alternates across seeds so both
-  // fast paths (fused tables and field-at-a-time MTF) see all 64 programs.
+  // regions, maximum decoder coverage.
   Options Opts;
   Opts.Theta = 1.0;
   Opts.BufferBoundBytes = 256;
-  Opts.MoveToFront = (GetParam() % 2) == 1;
-  Opts.DeltaDisplacements = (GetParam() % 4) >= 2;
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
 
   RunObservables Slow = runWith(SR.SP, {}, /*FastDecode=*/false);

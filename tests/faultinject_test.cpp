@@ -424,56 +424,53 @@ TEST(FaultInjection, ArmedPrefetchCorruptionIsDiscardedAtConsume) {
 }
 
 // Non-Huffman codec tables damaged at rest: a truncated pattern-selector
-// or context-opcode table must be rejected by attach's per-codec
-// validation, before any fill could decode through it.
+// table must be rejected by attach's per-codec validation, before any fill
+// could decode through it.
 TEST(FaultInjection, CodecTableCorruptRejectedAtAttach) {
   workloads::Workload W = workloads::buildAdpcm(Scale);
   compactProgram(W.Prog).take();
   Image Baseline = layoutProgram(W.Prog);
   Profile Prof = profileImage(Baseline, W.ProfilingInput).take();
-  for (const char *Codec : {"pattern", "context"}) {
-    SCOPED_TRACE(Codec);
-    Options Opts;
-    Opts.Theta = 0.1;
-    Opts.Codec = Codec;
-    SquashResult SR = squashProgram(W.Prog, Prof, Opts).take();
-    ASSERT_FALSE(SR.Identity);
-    SquashedRun Base = runSquashed(SR.SP, W.TimingInput);
-    ASSERT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
+  Options Opts;
+  Opts.Theta = 0.1;
+  Opts.Codec = "pattern";
+  SquashResult SR = squashProgram(W.Prog, Prof, Opts).take();
+  ASSERT_FALSE(SR.Identity);
+  SquashedRun Base = runSquashed(SR.SP, W.TimingInput);
+  ASSERT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
 
-    for (uint64_t Seed = 0; Seed != 8; ++Seed) {
-      SquashedProgram SP = SR.SP;
-      FaultInjector FI(601 + Seed * 2654435761ull);
-      std::optional<FaultReport> FR =
-          FI.inject(SP, FaultKind::CodecTableCorrupt);
-      ASSERT_TRUE(FR.has_value());
-      SCOPED_TRACE("seed " + std::to_string(Seed) + ": " + FR->Description);
-      SquashedRun Run = runSquashed(SP, W.TimingInput,
-                                    4 * Base.Run.Instructions + 1'000'000);
-      ASSERT_EQ(Run.Run.Status, RunStatus::Fault)
-          << "corrupt codec table escaped attach validation";
-      EXPECT_FALSE(Run.Run.FaultMessage.empty());
-      EXPECT_EQ(Run.Runtime.Decompressions, 0u)
-          << "corrupt table was detected only after a fill";
-    }
+  for (uint64_t Seed = 0; Seed != 8; ++Seed) {
+    SquashedProgram SP = SR.SP;
+    FaultInjector FI(601 + Seed * 2654435761ull);
+    std::optional<FaultReport> FR =
+        FI.inject(SP, FaultKind::CodecTableCorrupt);
+    ASSERT_TRUE(FR.has_value());
+    SCOPED_TRACE("seed " + std::to_string(Seed) + ": " + FR->Description);
+    SquashedRun Run = runSquashed(SP, W.TimingInput,
+                                  4 * Base.Run.Instructions + 1'000'000);
+    ASSERT_EQ(Run.Run.Status, RunStatus::Fault)
+        << "corrupt codec table escaped attach validation";
+    EXPECT_FALSE(Run.Run.FaultMessage.empty());
+    EXPECT_EQ(Run.Runtime.Decompressions, 0u)
+        << "corrupt table was detected only after a fill";
+  }
 
-    // The complementary inapplicability: with no Huffman region, attach
-    // never reads the Huffman stream tables, so truncating them would be
-    // an undetectable (and therefore meaningless) injection.
-    bool AnyHuffman = false;
-    for (const RegionImageInfo &RI : SR.SP.Regions)
-      AnyHuffman |= RI.Codec == static_cast<uint8_t>(CodecKind::Huffman);
-    if (!AnyHuffman) {
-      SquashedProgram SP = SR.SP;
-      FaultInjector FI(11);
-      EXPECT_FALSE(
-          FI.inject(SP, FaultKind::DecodeTableTruncated).has_value());
-    }
+  // The complementary inapplicability: with no Huffman region, attach
+  // never reads the Huffman stream tables, so truncating them would be
+  // an undetectable (and therefore meaningless) injection.
+  bool AnyHuffman = false;
+  for (const RegionImageInfo &RI : SR.SP.Regions)
+    AnyHuffman |= RI.Codec == static_cast<uint8_t>(CodecKind::Huffman);
+  if (!AnyHuffman) {
+    SquashedProgram SP = SR.SP;
+    FaultInjector FI(11);
+    EXPECT_FALSE(
+        FI.inject(SP, FaultKind::DecodeTableTruncated).has_value());
   }
 }
 
 // CodecTableCorrupt is inapplicable on an all-Huffman image: there is no
-// pattern or context table for attach to validate, so inject() must refuse.
+// pattern table for attach to validate, so inject() must refuse.
 TEST(FaultInjection, CodecTableCorruptRequiresNonHuffmanRegion) {
   Reference Ref = prepare(0);
   SquashedProgram SP = Ref.SR.SP;

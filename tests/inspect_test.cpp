@@ -92,20 +92,6 @@ TEST(Inspect, RegionTableRowsMatchRegions) {
   EXPECT_EQ(Lines, SR.SP.Regions.size() + 1); // header + one row each
 }
 
-TEST(Extensions, DeltaDisplacementsRoundTrip) {
-  Options Opts;
-  Opts.DeltaDisplacements = true;
-  SquashResult SR = squashedFixture(Opts);
-  ASSERT_FALSE(SR.Identity);
-  // The inspector decodes through the same path the runtime uses, so a
-  // clean disassembly is a full decode round trip.
-  std::string Text = formatRegion(SR.SP, 0);
-  EXPECT_EQ(Text.find("<corrupt"), std::string::npos);
-  // And the program still runs correctly.
-  SquashedRun Run = runSquashed(SR.SP, {1});
-  EXPECT_EQ(Run.Run.Status, RunStatus::Halted);
-}
-
 TEST(Extensions, WholeFunctionRegionsStrawman) {
   Options Whole;
   Whole.WholeFunctionRegions = true;

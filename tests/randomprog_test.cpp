@@ -54,7 +54,6 @@ TEST_P(RandomProgram, SquashPreservesBehaviour) {
       Options Opts;
       Opts.Theta = Theta;
       Opts.BufferBoundBytes = K;
-      Opts.MoveToFront = (GetParam() % 2) == 1;
       SquashResult SR = squashProgram(Prog, Prof, Opts).take();
 
       Machine M2(SR.SP.Img, MC);

@@ -43,16 +43,10 @@ static std::vector<std::vector<MInst>> randomCorpus(Rng &R, size_t Regions,
   return Corpus;
 }
 
-/// Parameter bits: 1 = move-to-front, 2 = delta displacements.
-class StreamCodecRoundTrip : public ::testing::TestWithParam<int> {};
-
-TEST_P(StreamCodecRoundTrip, RegionsDecodeExactly) {
-  Rng R(1001 + GetParam() * 7);
+TEST(StreamCodecRoundTrip, RegionsDecodeExactly) {
+  Rng R(1001);
   auto Corpus = randomCorpus(R, 20, 200);
-  StreamCodecs::Options Opts;
-  Opts.MoveToFront = (GetParam() & 1) != 0;
-  Opts.DeltaDisplacements = (GetParam() & 2) != 0;
-  StreamCodecs SC = StreamCodecs::build(Corpus, Opts);
+  StreamCodecs SC = StreamCodecs::build(Corpus);
 
   BitWriter W;
   std::vector<size_t> Offsets;
@@ -88,9 +82,6 @@ TEST_P(StreamCodecRoundTrip, RegionsDecodeExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PlainMtfDelta, StreamCodecRoundTrip,
-                         ::testing::Range(0, 4));
-
 TEST(StreamCodec, EmptyRegionIsJustSentinel) {
   std::vector<std::vector<MInst>> Corpus = {{}};
   StreamCodecs SC = StreamCodecs::build(Corpus);
@@ -106,7 +97,7 @@ TEST(StreamCodec, EmptyRegionIsJustSentinel) {
 TEST(StreamCodec, CorruptStreamReportsNotOk) {
   Rng R(5);
   auto Corpus = randomCorpus(R, 4, 60);
-  StreamCodecs SC = StreamCodecs::build(Corpus, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build(Corpus);
   BitWriter W;
   ASSERT_TRUE(SC.encodeRegion(Corpus[0], W).ok());
   std::vector<uint8_t> Blob = W.takeBytes();
@@ -125,7 +116,7 @@ TEST(StreamCodec, CorruptStreamReportsNotOk) {
 TEST(StreamCodec, StatsCoverEveryStream) {
   Rng R(6);
   auto Corpus = randomCorpus(R, 8, 100);
-  StreamCodecs SC = StreamCodecs::build(Corpus, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build(Corpus);
   const auto &Stats = SC.stats();
   ASSERT_EQ(Stats.size(), NumFieldKinds);
   uint64_t OpcodeSymbols = 0;
@@ -147,7 +138,7 @@ TEST(StreamCodec, CompressionBeatsRawForSkewedInput) {
   std::vector<MInst> Region;
   for (int I = 0; I != 2000; ++I)
     Region.push_back(makeRRR(Opcode::Add, 1, 2, 3));
-  StreamCodecs SC = StreamCodecs::build({Region}, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   ASSERT_TRUE(SC.encodeRegion(Region, W).ok());
   EXPECT_LT(W.bitSize(), 2000u * 8); // At least 4x over raw encoding.
@@ -156,7 +147,7 @@ TEST(StreamCodec, CompressionBeatsRawForSkewedInput) {
 TEST(StreamCodec, SerializedTablesMatchAccounting) {
   Rng R(9);
   auto Corpus = randomCorpus(R, 6, 80);
-  StreamCodecs SC = StreamCodecs::build(Corpus, StreamCodecs::Options());
+  StreamCodecs SC = StreamCodecs::build(Corpus);
   BitWriter W;
   SC.serializeTables(W);
   EXPECT_EQ(W.bitSize(), SC.tableBits());
@@ -317,25 +308,17 @@ std::vector<MInst> boundaryInstructions() {
 
 } // namespace
 
-/// Parameter bits: 1 = move-to-front, 2 = delta displacements.
-class StreamCodecBoundary : public ::testing::TestWithParam<int> {};
-
-TEST_P(StreamCodecBoundary, AllFieldsAtExtremesRoundTrip) {
+TEST(StreamCodecBoundary, AllFieldsAtExtremesRoundTrip) {
   // Every legal opcode with every field at 0 and at its width's maximum:
   // all-ones displacements (-1 when signed), register 31, literal 255, the
-  // widest system-call number. Both transform options must reproduce the
-  // words exactly — delta coding in particular must wrap cleanly between
-  // a maximum value and zero.
+  // widest system-call number. The codec must reproduce the words exactly.
   std::vector<MInst> Region = boundaryInstructions();
-  // Interleave a second copy in reverse so delta transitions cover
-  // max->0, 0->max, and equal-value runs.
+  // Append a second copy in reverse so value transitions cover max->0,
+  // 0->max, and equal-value runs.
   std::vector<MInst> Reversed(Region.rbegin(), Region.rend());
   Region.insert(Region.end(), Reversed.begin(), Reversed.end());
 
-  StreamCodecs::Options Opts;
-  Opts.MoveToFront = (GetParam() & 1) != 0;
-  Opts.DeltaDisplacements = (GetParam() & 2) != 0;
-  StreamCodecs SC = StreamCodecs::build({Region}, Opts);
+  StreamCodecs SC = StreamCodecs::build({Region});
 
   BitWriter W;
   ASSERT_TRUE(SC.encodeRegion(Region, W).ok());
@@ -354,19 +337,13 @@ TEST_P(StreamCodecBoundary, AllFieldsAtExtremesRoundTrip) {
   EXPECT_EQ(Count, Region.size());
 }
 
-TEST_P(StreamCodecBoundary, EncodingUnknownSymbolFailsCleanly) {
+TEST(StreamCodecBoundary, EncodingUnknownSymbolFailsCleanly) {
   // Encoding an instruction whose field value was never in the corpus must
   // fail with a recoverable status, not corrupt the stream.
   std::vector<MInst> Region(4, makeRRR(Opcode::Add, 1, 2, 3));
-  StreamCodecs::Options Opts;
-  Opts.MoveToFront = (GetParam() & 1) != 0;
-  Opts.DeltaDisplacements = (GetParam() & 2) != 0;
-  StreamCodecs SC = StreamCodecs::build({Region}, Opts);
+  StreamCodecs SC = StreamCodecs::build({Region});
   BitWriter W;
   Status St = SC.encodeRegion({makeRRR(Opcode::Add, 30, 2, 3)}, W);
   EXPECT_FALSE(St.ok());
   EXPECT_EQ(St.code(), StatusCode::EncodingError);
 }
-
-INSTANTIATE_TEST_SUITE_P(PlainMtfDelta, StreamCodecBoundary,
-                         ::testing::Range(0, 4));
