@@ -85,23 +85,27 @@ TEST_P(BranchSemantics, TakenExactlyWhenSpecified) {
       << opcodeInfo(C.Op).Name << " on " << C.Value;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllConditions, BranchSemantics,
-    ::testing::Values(
-        BranchCase{Opcode::Beq, 0, true}, BranchCase{Opcode::Beq, 5, false},
-        BranchCase{Opcode::Bne, 0, false}, BranchCase{Opcode::Bne, 5, true},
-        BranchCase{Opcode::Blt, 0xFFFFFFFF, true}, // -1 < 0
-        BranchCase{Opcode::Blt, 0, false},
-        BranchCase{Opcode::Ble, 0, true},
-        BranchCase{Opcode::Ble, 1, false},
-        BranchCase{Opcode::Ble, 0x80000000, true}, // INT_MIN
-        BranchCase{Opcode::Bgt, 1, true}, BranchCase{Opcode::Bgt, 0, false},
-        BranchCase{Opcode::Bgt, 0xFFFFFFFF, false},
-        BranchCase{Opcode::Bge, 0, true},
-        BranchCase{Opcode::Bge, 0xFFFFFFFF, false},
-        BranchCase{Opcode::Blbc, 4, true}, BranchCase{Opcode::Blbc, 5, false},
-        BranchCase{Opcode::Blbs, 5, true},
-        BranchCase{Opcode::Blbs, 4, false}));
+// A static table, not ::testing::Values(): gtest names each case after the
+// bytes of its BranchCase, padding included, and static storage keeps that
+// padding zero where stack temporaries would leave it differing per run.
+static const BranchCase BranchCases[] = {
+    BranchCase{Opcode::Beq, 0, true}, BranchCase{Opcode::Beq, 5, false},
+    BranchCase{Opcode::Bne, 0, false}, BranchCase{Opcode::Bne, 5, true},
+    BranchCase{Opcode::Blt, 0xFFFFFFFF, true}, // -1 < 0
+    BranchCase{Opcode::Blt, 0, false},
+    BranchCase{Opcode::Ble, 0, true},
+    BranchCase{Opcode::Ble, 1, false},
+    BranchCase{Opcode::Ble, 0x80000000, true}, // INT_MIN
+    BranchCase{Opcode::Bgt, 1, true}, BranchCase{Opcode::Bgt, 0, false},
+    BranchCase{Opcode::Bgt, 0xFFFFFFFF, false},
+    BranchCase{Opcode::Bge, 0, true},
+    BranchCase{Opcode::Bge, 0xFFFFFFFF, false},
+    BranchCase{Opcode::Blbc, 4, true}, BranchCase{Opcode::Blbc, 5, false},
+    BranchCase{Opcode::Blbs, 5, true},
+    BranchCase{Opcode::Blbs, 4, false}};
+
+INSTANTIATE_TEST_SUITE_P(AllConditions, BranchSemantics,
+                         ::testing::ValuesIn(BranchCases));
 
 TEST(ImageDisasm, RendersSquashInternalWords) {
   // Bsrx words (never in executable images, but present in diagnostics)

@@ -67,29 +67,32 @@ TEST_P(AluSemantics, ComputesExpected) {
   EXPECT_EQ(Got, C.Want);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Ops, AluSemantics,
-    ::testing::Values(
-        AluCase{Opcode::Add, 7, 8, 15},
-        AluCase{Opcode::Add, 0xFFFFFFFF, 1, 0}, // wraparound
-        AluCase{Opcode::Sub, 3, 5, 0xFFFFFFFE},
-        AluCase{Opcode::Mul, 100000, 100000, 100000u * 100000u},
-        AluCase{Opcode::Umulh, 0x80000000, 4, 2},
-        AluCase{Opcode::Udiv, 100, 7, 14},
-        AluCase{Opcode::Urem, 100, 7, 2},
-        AluCase{Opcode::And, 0xF0F0, 0xFF00, 0xF000},
-        AluCase{Opcode::Or, 0xF0F0, 0x0F00, 0xFFF0},
-        AluCase{Opcode::Xor, 0xFFFF, 0x0F0F, 0xF0F0},
-        AluCase{Opcode::Bic, 0xFFFF, 0x0F0F, 0xF0F0},
-        AluCase{Opcode::Sll, 1, 31, 0x80000000},
-        AluCase{Opcode::Sll, 1, 33, 2}, // shift amounts are mod 32
-        AluCase{Opcode::Srl, 0x80000000, 31, 1},
-        AluCase{Opcode::Sra, 0x80000000, 31, 0xFFFFFFFF},
-        AluCase{Opcode::Cmpeq, 4, 4, 1}, AluCase{Opcode::Cmpeq, 4, 5, 0},
-        AluCase{Opcode::Cmplt, 0xFFFFFFFF, 0, 1}, // -1 < 0 signed
-        AluCase{Opcode::Cmpult, 0xFFFFFFFF, 0, 0},
-        AluCase{Opcode::Cmple, 5, 5, 1},
-        AluCase{Opcode::Cmpule, 6, 5, 0}));
+// A static table, not ::testing::Values(): gtest names each case after the
+// bytes of its AluCase, padding included, and static storage keeps that
+// padding zero where stack temporaries would leave it differing per run.
+static const AluCase AluCases[] = {
+    AluCase{Opcode::Add, 7, 8, 15},
+    AluCase{Opcode::Add, 0xFFFFFFFF, 1, 0}, // wraparound
+    AluCase{Opcode::Sub, 3, 5, 0xFFFFFFFE},
+    AluCase{Opcode::Mul, 100000, 100000, 100000u * 100000u},
+    AluCase{Opcode::Umulh, 0x80000000, 4, 2},
+    AluCase{Opcode::Udiv, 100, 7, 14},
+    AluCase{Opcode::Urem, 100, 7, 2},
+    AluCase{Opcode::And, 0xF0F0, 0xFF00, 0xF000},
+    AluCase{Opcode::Or, 0xF0F0, 0x0F00, 0xFFF0},
+    AluCase{Opcode::Xor, 0xFFFF, 0x0F0F, 0xF0F0},
+    AluCase{Opcode::Bic, 0xFFFF, 0x0F0F, 0xF0F0},
+    AluCase{Opcode::Sll, 1, 31, 0x80000000},
+    AluCase{Opcode::Sll, 1, 33, 2}, // shift amounts are mod 32
+    AluCase{Opcode::Srl, 0x80000000, 31, 1},
+    AluCase{Opcode::Sra, 0x80000000, 31, 0xFFFFFFFF},
+    AluCase{Opcode::Cmpeq, 4, 4, 1}, AluCase{Opcode::Cmpeq, 4, 5, 0},
+    AluCase{Opcode::Cmplt, 0xFFFFFFFF, 0, 1}, // -1 < 0 signed
+    AluCase{Opcode::Cmpult, 0xFFFFFFFF, 0, 0},
+    AluCase{Opcode::Cmple, 5, 5, 1},
+    AluCase{Opcode::Cmpule, 6, 5, 0}};
+
+INSTANTIATE_TEST_SUITE_P(Ops, AluSemantics, ::testing::ValuesIn(AluCases));
 
 TEST(Machine, ZeroRegisterReadsZero) {
   RunResult R = runMain([](FunctionBuilder &F) {
