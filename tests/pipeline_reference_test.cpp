@@ -13,7 +13,10 @@
 // ImageGolden additionally pins the CRC-32 of every workload's image under
 // the three configurations the end-to-end benchmark runs, so a change that
 // alters both pipelines alike (a deleted option, a reworked coder) still
-// shows up as a mismatch.
+// shows up as a mismatch. RunGolden pins what running those images does
+// (instructions, cycles, output, runtime counters) and each workload's
+// block profile, so a change to the interpreter or the runtime that keeps
+// images identical but alters execution shows up as well.
 //
 //===----------------------------------------------------------------------===//
 
@@ -356,6 +359,187 @@ TEST_P(ImageGolden, ImageCrcMatchesPinnedRow) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, ImageGolden, ::testing::Range(0, 11),
+                         [](const ::testing::TestParamInfo<int> &Info) {
+                           return workloadName(Info.param);
+                         });
+
+namespace {
+
+/// One pinned run: what runSquashed reports for a workload (at GoldenScale)
+/// squashed under one of the ImageGolden configurations and run on its
+/// timing input.
+struct RunGoldenRow {
+  const char *Workload;
+  const char *Config;
+  uint64_t Instructions;
+  uint64_t Cycles;
+  uint32_t ExitCode;
+  uint32_t OutputCrc;
+  const char *FaultMessage;
+  uint64_t Decompressions;
+  uint64_t Traps; ///< Entry + restore stub calls, stub creates and reuses.
+  uint64_t StubCreates;
+};
+
+/// One pinned profile: the CRC-32 of profileImage's BlockCounts (as raw
+/// little-endian uint64_t words) and its instruction total.
+struct ProfileGoldenRow {
+  const char *Workload;
+  uint32_t BlockCountsCrc;
+  uint64_t TotalInstructions;
+};
+
+constexpr RunGoldenRow RunGoldenRows[] = {
+    {"adpcm", "huffman-0.01", 9650826, 9866962, 133, 0x77AC7E07u, "",
+     69, 100, 31},
+    {"adpcm", "auto-layout-0.01", 9650826, 9811234, 133, 0x77AC7E07u, "",
+     69, 100, 31},
+    {"adpcm", "huffman-0.1", 9652358, 11935350, 133, 0x77AC7E07u, "",
+     727, 980, 253},
+    {"epic", "huffman-0.01", 8174883, 8341467, 86, 0x08052EF3u, "",
+     55, 58, 3},
+    {"epic", "auto-layout-0.01", 8174883, 8283921, 86, 0x08052EF3u, "",
+     55, 58, 3},
+    {"epic", "huffman-0.1", 8175309, 9052901, 86, 0x08052EF3u, "",
+     281, 295, 14},
+    {"g721_dec", "huffman-0.01", 7706403, 7899107, 198, 0x10E48303u, "",
+     63, 86, 23},
+    {"g721_dec", "auto-layout-0.01", 7706403, 7834487, 198, 0x10E48303u, "",
+     63, 86, 23},
+    {"g721_dec", "huffman-0.1", 7708136, 10287184, 198, 0x10E48303u, "",
+     814, 1095, 281},
+    {"g721_enc", "huffman-0.01", 7187281, 7351929, 146, 0xC171E498u, "",
+     53, 76, 23},
+    {"g721_enc", "auto-layout-0.01", 7187281, 7314903, 146, 0xC171E498u, "",
+     53, 76, 23},
+    {"g721_enc", "huffman-0.1", 7188579, 9141211, 146, 0xC171E498u, "",
+     617, 831, 214},
+    {"gsm", "huffman-0.01", 5357914, 6068634, 213, 0x9C09F068u, "",
+     234, 308, 74},
+    {"gsm", "auto-layout-0.01", 5357914, 5777088, 213, 0x9C09F068u, "",
+     234, 308, 74},
+    {"gsm", "huffman-0.1", 5366788, 14557364, 213, 0x9C09F068u, "",
+     2890, 3572, 682},
+    {"jpeg_dec", "huffman-0.01", 16316696, 17835664, 226, 0xDB105DF4u, "",
+     480, 548, 68},
+    {"jpeg_dec", "auto-layout-0.01", 16316696, 17250754, 226, 0xDB105DF4u, "",
+     480, 548, 68},
+    {"jpeg_dec", "huffman-0.1", 16476691, 182466099, 226, 0xDB105DF4u, "",
+     52317, 57599, 5282},
+    {"jpeg_enc", "huffman-0.01", 13074782, 13927334, 99, 0x0CFCFE72u, "",
+     272, 278, 6},
+    {"jpeg_enc", "auto-layout-0.01", 13074782, 13574876, 99, 0x0CFCFE72u, "",
+     272, 278, 6},
+    {"jpeg_enc", "huffman-0.1", 13191706, 131456738, 99, 0x0CFCFE72u, "",
+     38127, 41941, 3814},
+    {"mpeg2dec", "huffman-0.01", 4924630, 6648686, 3, 0x46230AA0u, "",
+     547, 794, 247},
+    {"mpeg2dec", "auto-layout-0.01", 4924630, 6067178, 3, 0x46230AA0u, "",
+     547, 794, 247},
+    {"mpeg2dec", "huffman-0.1", 4925630, 8024894, 3, 0x46230AA0u, "",
+     980, 1454, 474},
+    {"mpeg2enc", "huffman-0.01", 10708133, 13077933, 174, 0x02611EC0u, "",
+     751, 1031, 280},
+    {"mpeg2enc", "auto-layout-0.01", 10708133, 12144813, 174, 0x02611EC0u, "",
+     751, 1031, 280},
+    {"mpeg2enc", "huffman-0.1", 10715867, 23318923, 174, 0x02611EC0u, "",
+     3984, 5960, 1976},
+    {"pgp", "huffman-0.01", 11341254, 11537430, 31, 0xEE082BBEu, "",
+     64, 64, 0},
+    {"pgp", "auto-layout-0.01", 11341254, 11458374, 31, 0xEE082BBEu, "",
+     64, 64, 0},
+    {"pgp", "huffman-0.1", 11366487, 38711431, 31, 0xEE082BBEu, "",
+     8572, 8831, 259},
+    {"rasta", "huffman-0.01", 9172064, 9368600, 183, 0x28C6A965u, "",
+     63, 84, 21},
+    {"rasta", "auto-layout-0.01", 9172064, 9318326, 183, 0x28C6A965u, "",
+     63, 84, 21},
+    {"rasta", "huffman-0.1", 9191084, 31023940, 183, 0x28C6A965u, "",
+     6918, 9614, 2696},
+};
+
+constexpr ProfileGoldenRow ProfileGoldenRows[] = {
+    {"adpcm", 0x284C79FCu, 3877550},
+    {"epic", 0x19835AD3u, 5850824},
+    {"g721_dec", 0x7A120534u, 3672750},
+    {"g721_enc", 0x1F057AACu, 3116122},
+    {"gsm", 0xEA31AEE7u, 3901366},
+    {"jpeg_dec", 0x4CB29DC7u, 12874765},
+    {"jpeg_enc", 0x99223DA4u, 10768046},
+    {"mpeg2dec", 0xCE69226Eu, 3642661},
+    {"mpeg2enc", 0xA805C8E4u, 8206028},
+    {"pgp", 0xE5E1999Du, 6106884},
+    {"rasta", 0x50C66AE9u, 4390893},
+};
+
+class RunGolden : public ::testing::TestWithParam<int> {};
+
+} // namespace
+
+TEST_P(RunGolden, RunOutcomeMatchesPinnedRows) {
+  workloads::Workload W = buildWorkload(GetParam(), GoldenScale);
+  compactProgram(W.Prog).take();
+  Profile Prof = profileImage(layoutProgram(W.Prog), W.ProfilingInput).take();
+
+  const uint32_t ProfCrc = vea::crc32(
+      reinterpret_cast<const uint8_t *>(Prof.BlockCounts.data()),
+      Prof.BlockCounts.size() * sizeof(uint64_t));
+  char ProfText[96];
+  std::snprintf(ProfText, sizeof(ProfText), "{\"%s\", 0x%08Xu, %llu},",
+                W.Name.c_str(), ProfCrc,
+                static_cast<unsigned long long>(Prof.TotalInstructions));
+  unsigned ProfChecked = 0;
+  for (const ProfileGoldenRow &Row : ProfileGoldenRows) {
+    if (W.Name != Row.Workload)
+      continue;
+    ++ProfChecked;
+    EXPECT_EQ(ProfCrc, Row.BlockCountsCrc) << "profile row " << ProfText;
+    EXPECT_EQ(Prof.TotalInstructions, Row.TotalInstructions)
+        << "profile row " << ProfText;
+  }
+  EXPECT_EQ(ProfChecked, 1u) << "profile row " << ProfText;
+
+  static const char *const Configs[] = {"huffman-0.01", "auto-layout-0.01",
+                                        "huffman-0.1"};
+  for (const char *Config : Configs) {
+    SquashResult R =
+        squashProgram(W.Prog, Prof, imageGoldenOptions(Config)).take();
+    SquashedRun Run = runSquashed(R.SP, W.TimingInput);
+    const RuntimeSystem::Stats &S = Run.Runtime;
+    const uint64_t Traps = S.EntryStubCalls + S.RestoreStubCalls +
+                           S.StubCreates + S.StubReuses;
+    const uint32_t OutCrc = vea::crc32(Run.Output.data(), Run.Output.size());
+    char Text[256];
+    std::snprintf(Text, sizeof(Text),
+                  "{\"%s\", \"%s\", %llu, %llu, %u, 0x%08Xu, \"%s\", %llu, "
+                  "%llu, %llu},",
+                  W.Name.c_str(), Config,
+                  static_cast<unsigned long long>(Run.Run.Instructions),
+                  static_cast<unsigned long long>(Run.Run.Cycles),
+                  Run.Run.ExitCode, OutCrc, Run.Run.FaultMessage.c_str(),
+                  static_cast<unsigned long long>(S.Decompressions),
+                  static_cast<unsigned long long>(Traps),
+                  static_cast<unsigned long long>(S.StubCreates));
+
+    unsigned Checked = 0;
+    for (const RunGoldenRow &Row : RunGoldenRows) {
+      if (W.Name != Row.Workload || std::string(Config) != Row.Config)
+        continue;
+      ++Checked;
+      EXPECT_EQ(Run.Run.Instructions, Row.Instructions) << Text;
+      EXPECT_EQ(Run.Run.Cycles, Row.Cycles) << Text;
+      EXPECT_EQ(Run.Run.ExitCode, Row.ExitCode) << Text;
+      EXPECT_EQ(OutCrc, Row.OutputCrc) << Text;
+      EXPECT_EQ(Run.Run.FaultMessage, Row.FaultMessage) << Text;
+      EXPECT_EQ(S.Decompressions, Row.Decompressions) << Text;
+      EXPECT_EQ(Traps, Row.Traps) << Text;
+      EXPECT_EQ(S.StubCreates, Row.StubCreates) << Text;
+    }
+    EXPECT_EQ(Checked, 1u) << Text;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, RunGolden, ::testing::Range(0, 11),
                          [](const ::testing::TestParamInfo<int> &Info) {
                            return workloadName(Info.param);
                          });
