@@ -31,19 +31,19 @@ Machine::Machine(const Image &Img, Config Cfg)
   PC = Img.EntryPC;
   Regs.fill(0);
   Regs[RegSP] = Cfg.MemBytes - 16; // A little headroom at the very top.
+  Decoded.assign(Img.CodeBytes / WordBytes,
+                 DecodedInst{Undecoded, 0, 0, 0, 0});
 
   if (Cfg.Icache.Enabled)
     Icache = std::make_unique<IcacheModel>(Cfg.Icache);
 
   if (Cfg.CollectBlockProfile) {
     ProfileOn = true;
-    CodeBase = Img.Base;
-    CodeLimit = Img.Base + Img.CodeBytes;
     BlockOfWord.assign(Img.CodeBytes / WordBytes, -1);
     for (size_t Id = 0; Id != Img.Blocks.size(); ++Id) {
       const BlockLayout &BL = Img.Blocks[Id];
       if (BL.SizeWords != 0)
-        BlockOfWord[(BL.Addr - CodeBase) / WordBytes] =
+        BlockOfWord[(BL.Addr - Base) / WordBytes] =
             static_cast<int32_t>(Id);
     }
     BlockCounts.assign(Img.Blocks.size(), 0);
@@ -74,7 +74,7 @@ void Machine::fault(const std::string &Message) {
 }
 
 bool Machine::loadWord(uint32_t Addr, uint32_t &Value) {
-  if (Addr < Base || Addr + 4 > Mem.size()) {
+  if (Addr < Base || uint64_t{Addr} + 4 > Mem.size()) {
     fault("out-of-bounds word load at 0x" + std::to_string(Addr));
     return false;
   }
@@ -90,7 +90,7 @@ bool Machine::loadWord(uint32_t Addr, uint32_t &Value) {
 }
 
 bool Machine::storeWord(uint32_t Addr, uint32_t Value) {
-  if (Addr < Base || Addr + 4 > Mem.size()) {
+  if (Addr < Base || uint64_t{Addr} + 4 > Mem.size()) {
     fault("out-of-bounds word store");
     return false;
   }
@@ -102,6 +102,7 @@ bool Machine::storeWord(uint32_t Addr, uint32_t Value) {
   Mem[Addr + 1] = static_cast<uint8_t>(Value >> 8);
   Mem[Addr + 2] = static_cast<uint8_t>(Value >> 16);
   Mem[Addr + 3] = static_cast<uint8_t>(Value >> 24);
+  invalidateDecoded(Addr);
   return true;
 }
 
@@ -120,6 +121,7 @@ bool Machine::storeByte(uint32_t Addr, uint8_t Value) {
     return false;
   }
   Mem[Addr] = Value;
+  invalidateDecoded(Addr);
   return true;
 }
 
@@ -195,7 +197,36 @@ void Machine::execSys(uint32_t Func) {
   fault("unknown syscall " + std::to_string(Func));
 }
 
-bool Machine::step() {
+Machine::DecodedInst Machine::predecode(uint32_t Word) {
+  if (!isLegalWord(Word))
+    return {Opcode::Sentinel, 0, 0, 0, Word};
+  MInst I = decode(Word);
+  DecodedInst D{I.Op, static_cast<uint8_t>(I.ra()),
+                static_cast<uint8_t>(I.rb()),
+                static_cast<uint8_t>(I.rc()), 0};
+  switch (formatOf(I.Op)) {
+  case Format::Mem:
+    D.Imm = static_cast<uint32_t>(I.disp16());
+    break;
+  case Format::Branch:
+    D.Imm = 4 + 4 * static_cast<uint32_t>(I.disp21());
+    break;
+  case Format::OpRRI:
+    D.Imm = I.lit8();
+    break;
+  case Format::Sys:
+    D.Imm = I.sfunc();
+    break;
+  case Format::Jump:
+  case Format::OpRRR:
+    break;
+  }
+  return D;
+}
+
+// Inline: run() is the only caller, and folding the step into its loop
+// saves a call per retired instruction.
+inline bool Machine::step() {
   // Trap dispatch happens on instruction fetch, modelling control arriving
   // at the decompressor's entry points.
   if (Trap && PC >= TrapBegin && PC < TrapEnd)
@@ -205,7 +236,7 @@ bool Machine::step() {
     fault("misaligned pc");
     return false;
   }
-  if (PC < Base || PC + 4 > Mem.size()) {
+  if (PC < Base || uint64_t{PC} + 4 > Mem.size()) {
     fault("pc out of bounds");
     return false;
   }
@@ -216,115 +247,125 @@ bool Machine::step() {
   if (Icache)
     Cycles += Icache->access(PC);
 
-  uint32_t Word;
-  if (!loadWord(PC, Word))
-    return false;
-  if (!isLegalWord(Word)) {
-    fault("illegal instruction word " + std::to_string(Word));
+  // Code words decode once into the table; a store to a word drops its
+  // entry (invalidateDecoded), so rewritten code decodes afresh. A PC past
+  // the table (code copied into data or the stack) decodes on every fetch.
+  auto FetchWord = [&] {
+    return static_cast<uint32_t>(Mem[PC]) |
+           (static_cast<uint32_t>(Mem[PC + 1]) << 8) |
+           (static_cast<uint32_t>(Mem[PC + 2]) << 16) |
+           (static_cast<uint32_t>(Mem[PC + 3]) << 24);
+  };
+  const uint32_t Slot = (PC - Base) / WordBytes;
+  DecodedInst I;
+  if (Slot < Decoded.size()) {
+    DecodedInst &Cached = Decoded[Slot];
+    if (Cached.Op == Undecoded)
+      Cached = predecode(FetchWord());
+    I = Cached;
+  } else {
+    I = predecode(FetchWord());
+  }
+  if (I.Op == Opcode::Sentinel) {
+    fault("illegal instruction word " + std::to_string(I.Imm));
     return false;
   }
 
-  if (ProfileOn && PC >= CodeBase && PC < CodeLimit) {
-    int32_t Block = BlockOfWord[(PC - CodeBase) / WordBytes];
+  if (ProfileOn && Slot < BlockOfWord.size()) {
+    int32_t Block = BlockOfWord[Slot];
     if (Block >= 0)
       ++BlockCounts[Block];
   }
 
-  MInst I = decode(Word);
   ++Insts;
   ++Cycles;
 
   uint32_t NextPC = PC + 4;
-  auto BranchTarget = [&]() {
-    return static_cast<uint32_t>(static_cast<int64_t>(PC) + 4 +
-                                 4 * static_cast<int64_t>(I.disp21()));
-  };
+  const uint32_t BranchTarget = PC + I.Imm;
 
   switch (I.Op) {
   case Opcode::Ldw: {
     uint32_t V;
-    if (!loadWord(reg(I.rb()) + I.disp16(), V))
+    if (!loadWord(reg(I.Rb) + I.Imm, V))
       return false;
-    setReg(I.ra(), V);
+    setReg(I.Ra, V);
     break;
   }
   case Opcode::Ldb: {
     uint8_t V;
-    if (!loadByte(reg(I.rb()) + I.disp16(), V))
+    if (!loadByte(reg(I.Rb) + I.Imm, V))
       return false;
-    setReg(I.ra(), V);
+    setReg(I.Ra, V);
     break;
   }
   case Opcode::Stw:
-    if (!storeWord(reg(I.rb()) + I.disp16(), reg(I.ra())))
+    if (!storeWord(reg(I.Rb) + I.Imm, reg(I.Ra)))
       return false;
     break;
   case Opcode::Stb:
-    if (!storeByte(reg(I.rb()) + I.disp16(),
-                   static_cast<uint8_t>(reg(I.ra()))))
+    if (!storeByte(reg(I.Rb) + I.Imm, static_cast<uint8_t>(reg(I.Ra))))
       return false;
     break;
   case Opcode::Lda:
-    setReg(I.ra(), reg(I.rb()) + static_cast<uint32_t>(I.disp16()));
+    setReg(I.Ra, reg(I.Rb) + I.Imm);
     break;
   case Opcode::Ldah:
-    setReg(I.ra(),
-           reg(I.rb()) + (static_cast<uint32_t>(I.disp16()) << 16));
+    setReg(I.Ra, reg(I.Rb) + (I.Imm << 16));
     break;
 
   case Opcode::Br:
   case Opcode::Bsr:
-    setReg(I.ra(), PC + 4);
-    NextPC = BranchTarget();
+    setReg(I.Ra, PC + 4);
+    NextPC = BranchTarget;
     break;
   case Opcode::Beq:
-    if (reg(I.ra()) == 0)
-      NextPC = BranchTarget();
+    if (reg(I.Ra) == 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Bne:
-    if (reg(I.ra()) != 0)
-      NextPC = BranchTarget();
+    if (reg(I.Ra) != 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Blt:
-    if (static_cast<int32_t>(reg(I.ra())) < 0)
-      NextPC = BranchTarget();
+    if (static_cast<int32_t>(reg(I.Ra)) < 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Ble:
-    if (static_cast<int32_t>(reg(I.ra())) <= 0)
-      NextPC = BranchTarget();
+    if (static_cast<int32_t>(reg(I.Ra)) <= 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Bgt:
-    if (static_cast<int32_t>(reg(I.ra())) > 0)
-      NextPC = BranchTarget();
+    if (static_cast<int32_t>(reg(I.Ra)) > 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Bge:
-    if (static_cast<int32_t>(reg(I.ra())) >= 0)
-      NextPC = BranchTarget();
+    if (static_cast<int32_t>(reg(I.Ra)) >= 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Blbc:
-    if ((reg(I.ra()) & 1) == 0)
-      NextPC = BranchTarget();
+    if ((reg(I.Ra) & 1) == 0)
+      NextPC = BranchTarget;
     break;
   case Opcode::Blbs:
-    if ((reg(I.ra()) & 1) == 1)
-      NextPC = BranchTarget();
+    if ((reg(I.Ra) & 1) == 1)
+      NextPC = BranchTarget;
     break;
 
   case Opcode::Jmp:
   case Opcode::Jsr:
   case Opcode::Ret: {
-    uint32_t Target = reg(I.rb()) & ~3u;
-    setReg(I.ra(), PC + 4);
+    uint32_t Target = reg(I.Rb) & ~3u;
+    setReg(I.Ra, PC + 4);
     NextPC = Target;
     break;
   }
 
 #define RRR_CASE(OPC, EXPR)                                                   \
   case Opcode::OPC: {                                                         \
-    uint32_t A = reg(I.ra()), B = reg(I.rb());                                \
+    uint32_t A = reg(I.Ra), B = reg(I.Rb);                                    \
     (void)A;                                                                  \
     (void)B;                                                                  \
-    setReg(I.rc(), (EXPR));                                                   \
+    setReg(I.Rc, (EXPR));                                                     \
     break;                                                                    \
   }
     RRR_CASE(Add, A + B)
@@ -351,21 +392,21 @@ bool Machine::step() {
 
   case Opcode::Udiv:
   case Opcode::Urem: {
-    uint32_t A = reg(I.ra()), B = reg(I.rb());
+    uint32_t A = reg(I.Ra), B = reg(I.Rb);
     if (B == 0) {
       fault("division by zero");
       return false;
     }
-    setReg(I.rc(), I.Op == Opcode::Udiv ? A / B : A % B);
+    setReg(I.Rc, I.Op == Opcode::Udiv ? A / B : A % B);
     break;
   }
 
 #define RRI_CASE(OPC, EXPR)                                                   \
   case Opcode::OPC: {                                                         \
-    uint32_t A = reg(I.ra()), B = I.lit8();                                   \
+    uint32_t A = reg(I.Ra), B = I.Imm;                                        \
     (void)A;                                                                  \
     (void)B;                                                                  \
-    setReg(I.rc(), (EXPR));                                                   \
+    setReg(I.Rc, (EXPR));                                                     \
     break;                                                                    \
   }
     RRI_CASE(Addi, A + B)
@@ -392,7 +433,7 @@ bool Machine::step() {
 #undef RRI_CASE
 
   case Opcode::Sys:
-    execSys(I.sfunc());
+    execSys(I.Imm);
     if (Faulted || Halted)
       return false;
     break;
@@ -400,6 +441,8 @@ bool Machine::step() {
   case Opcode::Sentinel:
   case Opcode::Bsrx:
   case Opcode::NumOpcodes:
+    // Unreachable: predecode() turns every illegal word into a Sentinel
+    // entry, which faults before dispatch.
     fault("illegal instruction");
     return false;
   }

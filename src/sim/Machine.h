@@ -103,12 +103,12 @@ public:
   Profile takeProfile();
 
   // --- State access for trap handlers and tests --------------------------
-  uint32_t reg(unsigned R) const {
-    return R == RegZero ? 0 : Regs[R];
-  }
+  uint32_t reg(unsigned R) const { return Regs[R]; }
+  /// Writes to r31 are discarded: Regs[RegZero] is re-zeroed after every
+  /// write, which keeps both accessors branch-free.
   void setReg(unsigned R, uint32_t Value) {
-    if (R != RegZero)
-      Regs[R] = Value;
+    Regs[R] = Value;
+    Regs[RegZero] = 0;
   }
   uint32_t pc() const { return PC; }
   void setPC(uint32_t NewPC) { PC = NewPC; }
@@ -148,14 +148,45 @@ public:
   uint32_t memBytes() const { return static_cast<uint32_t>(Mem.size()); }
 
   /// Raw memory access for privileged runtime services (the decompressor
-  /// reads the compressed blob directly, as native code would).
+  /// reads the compressed blob directly, as native code would). Read-only:
+  /// every write goes through storeWord/storeByte, which keep the
+  /// predecoded instruction table coherent.
   const uint8_t *memData() const { return Mem.data(); }
 
 private:
+  /// One predecoded instruction word. Imm holds the operand the opcode
+  /// uses: the sign-extended disp16 (Mem), the branch's byte offset from
+  /// the PC, 4 + 4 * disp21 (Branch), lit8 (OpRRI), or sfunc (Sys). An
+  /// illegal word predecodes to Sentinel with the raw word in Imm, for the
+  /// fault message.
+  struct DecodedInst {
+    Opcode Op;
+    uint8_t Ra, Rb, Rc;
+    uint32_t Imm;
+  };
+  static_assert(sizeof(DecodedInst) == 8, "predecoded entry must stay compact");
+
+  /// Marks a table entry that has not been decoded since its word was
+  /// last written.
+  static constexpr Opcode Undecoded = Opcode::NumOpcodes;
+
+  static DecodedInst predecode(uint32_t Word);
+
+  /// Drops the predecoded entry of the word containing \p Addr: the
+  /// simulator's analogue of the I-cache flush after writing code.
+  void invalidateDecoded(uint32_t Addr) {
+    uint32_t Off = Addr - Base;
+    if (Off < Decoded.size() * WordBytes)
+      Decoded[Off / WordBytes].Op = Undecoded;
+  }
+
   bool step(); ///< Returns false when the run should stop.
   void execSys(uint32_t Func);
 
   std::vector<uint8_t> Mem;
+  /// Predecoded entries for the words of [Base, Base + Img.CodeBytes),
+  /// filled on first execution. PCs outside it decode on every fetch.
+  std::vector<DecodedInst> Decoded;
   std::array<uint32_t, NumRegs> Regs = {};
   uint32_t PC = 0;
   uint32_t Base = 0; ///< Lowest mapped address (null page below faults).
@@ -183,8 +214,9 @@ private:
 
   // Profiling.
   bool ProfileOn = false;
-  uint32_t CodeBase = 0, CodeLimit = 0;
-  std::vector<int32_t> BlockOfWord; ///< -1 if not a block start.
+  /// Per word of [Base, Base + Img.CodeBytes): block id, or -1 if the word
+  /// does not start a block.
+  std::vector<int32_t> BlockOfWord;
   std::vector<uint64_t> BlockCounts;
 };
 
