@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 
 using namespace vea;
@@ -248,10 +249,186 @@ TEST(Machine, FaultOnMisalignedWordAccess) {
   EXPECT_EQ(R.Status, RunStatus::Fault);
 }
 
-TEST(Machine, FaultOnIllegalInstruction) {
+TEST(Machine, FaultOnWordAccessAtTopOfAddressSpace) {
+  // 0xFFFFFFFC + 4 wraps to 0 in 32 bits; the bounds check must not.
+  RunResult R = runMain([](FunctionBuilder &F) {
+    F.ldw(16, RegZero, -4);
+    F.halt();
+  });
+  EXPECT_EQ(R.Status, RunStatus::Fault);
+  EXPECT_EQ(R.FaultMessage,
+            "out-of-bounds word load at 0x4294967292 (pc=0x1000)");
+}
+
+TEST(Machine, FaultOnPcOutOfBounds) {
   // Returning to address 0 (initial r26) leaves the mapped image.
   RunResult R = runMain([](FunctionBuilder &F) { F.ret(); });
   EXPECT_EQ(R.Status, RunStatus::Fault);
+  EXPECT_EQ(R.FaultMessage, "pc out of bounds (pc=0x0)");
+}
+
+TEST(Machine, FaultOnMisalignedPc) {
+  // Longjmp resumes at the saved PC unmasked, so a jump buffer whose
+  // resume slot holds an unaligned address leaves the PC misaligned.
+  ProgramBuilder PB("t");
+  {
+    FunctionBuilder F = PB.beginFunction("main");
+    F.la(16, "jb");
+    F.li(1, DefaultBase + 2);
+    F.stw(1, 16, NumRegs * 4);
+    F.li(17, 1);
+    F.sys(SysFunc::Longjmp);
+    F.halt();
+  }
+  PB.addBss("jb", 33 * 4);
+  PB.setEntry("main");
+  Machine M(layoutProgram(PB.build()));
+  RunResult R = M.run();
+  EXPECT_EQ(R.Status, RunStatus::Fault);
+  EXPECT_EQ(R.FaultMessage, "misaligned pc (pc=0x1002)");
+}
+
+TEST(Machine, FaultOnIllegalInstructionWord) {
+  const uint32_t SentinelWord = 0;
+  const uint32_t BsrxWord = encode(makeBranch(Opcode::Bsrx, RegRA, 3));
+  for (uint32_t Word : {SentinelWord, BsrxWord}) {
+    const std::string Want = "illegal instruction word " +
+                             std::to_string(Word);
+    // In code: the word replaces main's first instruction.
+    {
+      ProgramBuilder PB("t");
+      {
+        FunctionBuilder F = PB.beginFunction("main");
+        F.nop();
+        F.halt();
+      }
+      PB.setEntry("main");
+      Image Img = layoutProgram(PB.build());
+      Img.setWord(Img.EntryPC, Word);
+      Machine M(Img);
+      RunResult R = M.run();
+      EXPECT_EQ(R.Status, RunStatus::Fault);
+      EXPECT_EQ(R.FaultMessage, Want + " (pc=0x1000)");
+      EXPECT_EQ(R.Instructions, 0u);
+    }
+    // In data: a call into a data word holding it.
+    {
+      ProgramBuilder PB("t");
+      {
+        FunctionBuilder F = PB.beginFunction("main");
+        F.la(1, "blob");
+        F.callIndirect(1);
+        F.halt();
+      }
+      PB.addDataWords("blob", {Word});
+      PB.setEntry("main");
+      Image Img = layoutProgram(PB.build());
+      const uint32_t Blob = Img.symbol("blob");
+      ASSERT_GE(Blob, Img.Base + Img.CodeBytes);
+      Machine M(Img);
+      RunResult R = M.run();
+      char Pc[32];
+      std::snprintf(Pc, sizeof(Pc), " (pc=0x%x)", Blob);
+      EXPECT_EQ(R.Status, RunStatus::Fault);
+      EXPECT_EQ(R.FaultMessage, Want + Pc);
+    }
+  }
+}
+
+namespace {
+
+/// Builds main + target, where target is `addi r16, r31, 1; ret`. main
+/// calls target, lets \p Patch overwrite target's first word, calls it
+/// again, and exits with (first result << 4) | second result.
+RunResult runPatchedTwice(std::function<void(FunctionBuilder &)> Patch) {
+  ProgramBuilder PB("t");
+  {
+    FunctionBuilder F = PB.beginFunction("main");
+    F.call("target");
+    F.mov(20, 16);
+    Patch(F);
+    F.call("target");
+    F.slli(20, 20, 4);
+    F.or_(16, 16, 20);
+    F.halt();
+  }
+  {
+    FunctionBuilder F = PB.beginFunction("target");
+    F.addi(16, RegZero, 1);
+    F.ret();
+  }
+  PB.setEntry("main");
+  Machine M(layoutProgram(PB.build()));
+  return M.run();
+}
+
+} // namespace
+
+TEST(Machine, StoreWordOverExecutedCodeRunsNewInstruction) {
+  const uint32_t NewWord = encode(makeRRI(Opcode::Addi, 16, RegZero, 2));
+  RunResult R = runPatchedTwice([&](FunctionBuilder &F) {
+    F.la(1, "target");
+    F.li(2, static_cast<int32_t>(NewWord));
+    F.stw(2, 1, 0);
+  });
+  ASSERT_EQ(R.Status, RunStatus::Halted) << R.FaultMessage;
+  EXPECT_EQ(R.ExitCode, 0x12u);
+}
+
+TEST(Machine, StoreByteOverExecutedCodeRunsNewInstruction) {
+  // addi 1 and addi 2 differ in one byte of the word (lit8 sits in bits
+  // 20:13); patch only that byte.
+  const uint32_t Old = encode(makeRRI(Opcode::Addi, 16, RegZero, 1));
+  const uint32_t New = encode(makeRRI(Opcode::Addi, 16, RegZero, 2));
+  int DiffByte = -1;
+  for (int B = 0; B != 4; ++B)
+    if (((Old ^ New) >> (8 * B)) & 0xFF) {
+      ASSERT_EQ(DiffByte, -1) << "words differ in more than one byte";
+      DiffByte = B;
+    }
+  ASSERT_NE(DiffByte, -1);
+  RunResult R = runPatchedTwice([&](FunctionBuilder &F) {
+    F.la(1, "target");
+    F.li(2, static_cast<int32_t>((New >> (8 * DiffByte)) & 0xFF));
+    F.stb(2, 1, DiffByte);
+  });
+  ASSERT_EQ(R.Status, RunStatus::Halted) << R.FaultMessage;
+  EXPECT_EQ(R.ExitCode, 0x12u);
+}
+
+TEST(Machine, ExecutesRoutineWrittenIntoData) {
+  // Writes `addi r16, r31, 42; ret` into a data buffer, calls it, patches
+  // the addi to 43 and calls it again. The buffer lies past the code, so
+  // both calls take the path that decodes on every fetch.
+  const uint32_t Add42 = encode(makeRRI(Opcode::Addi, 16, RegZero, 42));
+  const uint32_t Add43 = encode(makeRRI(Opcode::Addi, 16, RegZero, 43));
+  const uint32_t Ret = encode(makeJump(Opcode::Ret, RegZero, RegRA));
+  ProgramBuilder PB("t");
+  {
+    FunctionBuilder F = PB.beginFunction("main");
+    F.la(1, "buf");
+    F.li(2, static_cast<int32_t>(Add42));
+    F.stw(2, 1, 0);
+    F.li(2, static_cast<int32_t>(Ret));
+    F.stw(2, 1, 4);
+    F.callIndirect(1);
+    F.mov(20, 16);
+    F.la(1, "buf");
+    F.li(2, static_cast<int32_t>(Add43));
+    F.stw(2, 1, 0);
+    F.callIndirect(1);
+    F.slli(20, 20, 8);
+    F.or_(16, 16, 20);
+    F.halt();
+  }
+  PB.addBss("buf", 8);
+  PB.setEntry("main");
+  Image Img = layoutProgram(PB.build());
+  ASSERT_GE(Img.symbol("buf"), Img.Base + Img.CodeBytes);
+  Machine M(Img);
+  RunResult R = M.run();
+  ASSERT_EQ(R.Status, RunStatus::Halted) << R.FaultMessage;
+  EXPECT_EQ(R.ExitCode, (42u << 8) | 43u);
 }
 
 TEST(Machine, InstructionLimitStopsRunaways) {
