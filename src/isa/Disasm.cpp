@@ -11,12 +11,19 @@
 
 using namespace vea;
 
-static std::string reg(unsigned R) { return "r" + std::to_string(R); }
+static std::string reg(unsigned R) {
+  std::string S = "r";
+  S += std::to_string(R);
+  return S;
+}
 
 static std::string branchTarget(const MInst &Inst, int64_t PC) {
   int32_t Disp = Inst.disp21();
-  if (PC < 0)
-    return (Disp >= 0 ? "+" : "") + std::to_string(Disp);
+  if (PC < 0) {
+    std::string S = Disp >= 0 ? "+" : "";
+    S += std::to_string(Disp);
+    return S;
+  }
   char Buf[32];
   std::snprintf(Buf, sizeof(Buf), "0x%llx",
                 static_cast<unsigned long long>(PC + 4 + 4 * int64_t(Disp)));

@@ -212,7 +212,7 @@ ResquashController::create(Program Prog, Profile Training, Options Opts,
   C->Versions.push_back(std::move(V));
   C->St.ActiveVersion = 0;
   C->St.VersionsCreated = 1;
-  return std::move(C);
+  return C;
 }
 
 ResquashController::~ResquashController() {

@@ -185,7 +185,9 @@ std::string MetricsRegistry::toJson() const {
     if (!First)
       Out += ",";
     First = false;
-    Out += "\"" + jsonEscape(E.Name) + "\":";
+    Out += "\"";
+    Out += jsonEscape(E.Name);
+    Out += "\":";
     switch (E.K) {
     case Kind::Counter: {
       char Buf[24];

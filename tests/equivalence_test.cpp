@@ -66,8 +66,9 @@ void expectEquivalent(const PreparedWorkload &P, const Options &Opts,
                     const std::vector<uint8_t> &BaseOut, const char *Which) {
     Machine M(SR.SP.Img);
     RuntimeSystem RT(SR.SP);
-    if (!SR.Identity)
+    if (!SR.Identity) {
       ASSERT_TRUE(RT.attach(M).ok());
+    }
     M.setInput(Input);
     RunResult R = M.run();
     ASSERT_EQ(R.Status, RunStatus::Halted)

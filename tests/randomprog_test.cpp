@@ -58,8 +58,9 @@ TEST_P(RandomProgram, SquashPreservesBehaviour) {
 
       Machine M2(SR.SP.Img, MC);
       RuntimeSystem RT(SR.SP);
-      if (!SR.Identity)
+      if (!SR.Identity) {
         ASSERT_TRUE(RT.attach(M2).ok());
+      }
       RunResult R = M2.run();
       ASSERT_EQ(R.Status, RunStatus::Halted)
           << "seed " << GetParam() << " theta " << Theta << " K " << K
