@@ -63,7 +63,9 @@ Program thrashProgram(uint32_t Iterations) {
     F.halt();
   }
   for (int FI = 0; FI != 3; ++FI) {
-    FunctionBuilder F = PB.beginFunction("f" + std::to_string(FI));
+    std::string Name = "f";
+    Name += std::to_string(FI);
+    FunctionBuilder F = PB.beginFunction(Name);
     for (int I = 0; I != 12; ++I)
       F.addi(1, 1, 1);
     F.li(0, 7 * FI + 3);

@@ -28,6 +28,14 @@ namespace testgen {
 /// Registers the generator hands out for scratch computation.
 inline constexpr unsigned ScratchRegs[] = {1, 2, 3, 4, 5, 6, 16, 17, 18, 19};
 
+/// Prefix followed by N in decimal. Built by appending to a named string:
+/// GCC 12 reports a false -Wrestrict on an inlined "literal" + std::string&&.
+inline std::string numbered(const char *Prefix, uint64_t N) {
+  std::string S = Prefix;
+  S += std::to_string(N);
+  return S;
+}
+
 inline unsigned pickReg(vea::Rng &R) {
   return ScratchRegs[R.nextBelow(std::size(ScratchRegs))];
 }
@@ -89,7 +97,7 @@ inline void emitRandomOp(vea::FunctionBuilder &F, vea::Rng &R) {
 inline vea::Program randomProgram(uint64_t Seed) {
   using namespace vea;
   Rng R(Seed);
-  ProgramBuilder PB("rand" + std::to_string(Seed));
+  ProgramBuilder PB(numbered("rand", Seed));
   PB.addBss("arena", 512);
 
   unsigned NumFuncs = 3 + static_cast<unsigned>(R.nextBelow(5));
@@ -102,7 +110,7 @@ inline vea::Program randomProgram(uint64_t Seed) {
       F.li(Reg, static_cast<int32_t>(R.nextBelow(100000)));
     F.li(10, 0);
     for (unsigned FI = 0; FI != NumFuncs; ++FI) {
-      F.call("f" + std::to_string(FI));
+      F.call(numbered("f", FI));
       F.add(10, 10, 0); // Accumulate each function's result.
     }
     // Checksum the arena.
@@ -121,7 +129,7 @@ inline vea::Program randomProgram(uint64_t Seed) {
   }
 
   for (unsigned FI = 0; FI != NumFuncs; ++FI) {
-    FunctionBuilder F = PB.beginFunction("f" + std::to_string(FI));
+    FunctionBuilder F = PB.beginFunction(numbered("f", FI));
     // Functions may call only higher-numbered functions (acyclic), and a
     // function either calls or loops — never both (guarantees
     // termination with the shared counter register r9).
@@ -136,7 +144,7 @@ inline vea::Program randomProgram(uint64_t Seed) {
 
     for (unsigned B = 0; B != NumBlocks; ++B) {
       if (B != 0)
-        F.label("b" + std::to_string(B));
+        F.label(numbered("b", B));
       unsigned Ops = 2 + static_cast<unsigned>(R.nextBelow(8));
       for (unsigned O = 0; O != Ops; ++O)
         emitRandomOp(F, R);
@@ -144,7 +152,7 @@ inline vea::Program randomProgram(uint64_t Seed) {
         unsigned Callee =
             FI + 1 + static_cast<unsigned>(R.nextBelow(NumFuncs - FI - 1));
         F.mov(16, pickReg(R));
-        F.call("f" + std::to_string(Callee));
+        F.call(numbered("f", Callee));
       }
       // Terminator: forward conditional branch, a forward jump table
       // (exercising unswitching and table relocation), or fallthrough.
@@ -153,11 +161,11 @@ inline vea::Program randomProgram(uint64_t Seed) {
             B + 1 + static_cast<unsigned>(R.nextBelow(NumBlocks - B - 1));
         switch (R.nextBelow(4)) {
         case 0:
-          F.beq(pickReg(R), "b" + std::to_string(Target));
+          F.beq(pickReg(R), numbered("b", Target));
           break;
         case 1:
           if (Target != B + 1) {
-            F.bne(pickReg(R), "b" + std::to_string(Target));
+            F.bne(pickReg(R), numbered("b", Target));
           }
           break;
         case 2: {
@@ -170,15 +178,14 @@ inline vea::Program randomProgram(uint64_t Seed) {
           std::vector<std::string> Targets;
           for (unsigned C = 0; C != NCases; ++C)
             Targets.push_back(
-                "b" + std::to_string(B + 1 +
-                                     R.nextBelow(NumBlocks - B - 1)));
+                numbered("b", B + 1 + R.nextBelow(NumBlocks - B - 1)));
           // The index and scratch registers are dead after a switch (the
           // table idiom clobbers them; the unswitched chain does not), so
           // use r7/r8, which generated code never reads across
           // instructions. Masking with NCases-1 keeps the index strictly
           // below NCases (the result is a submask of NCases-1).
           F.andi(7, pickReg(R), NCases - 1);
-          F.switchJump(7, 8, "jt" + std::to_string(B), Targets,
+          F.switchJump(7, 8, numbered("jt", B), Targets,
                        /*SizeKnown=*/R.chance(4, 5));
           break;
         }

@@ -19,8 +19,11 @@ static Program blockChain(unsigned N, unsigned BlockSize) {
   ProgramBuilder PB("t");
   FunctionBuilder F = PB.beginFunction("main");
   for (unsigned B = 0; B != N; ++B) {
-    if (B != 0)
-      F.label("b" + std::to_string(B));
+    if (B != 0) {
+      std::string Label = "b";
+      Label += std::to_string(B);
+      F.label(Label);
+    }
     for (unsigned I = 0; I + 1 < BlockSize; ++I)
       F.addi(1, 1, 1);
     if (B + 1 == N) {

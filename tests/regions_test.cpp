@@ -143,8 +143,11 @@ TEST(Regions, BufferBoundSplitsLargeFunction) {
   {
     FunctionBuilder F = PB.beginFunction("big");
     for (int B = 0; B != 10; ++B) {
-      if (B != 0)
-        F.label("b" + std::to_string(B));
+      if (B != 0) {
+        std::string Label = "b";
+        Label += std::to_string(B);
+        F.label(Label);
+      }
       for (int I = 0; I != 19; ++I)
         F.addi(1, 1, 1);
     }
