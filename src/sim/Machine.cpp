@@ -73,9 +73,16 @@ void Machine::fault(const std::string &Message) {
     FlightRecorder::instance().noteFault("machine", FaultMessage);
 }
 
+/// \p What followed by " at 0x" and \p Addr in hex.
+static std::string atAddress(const char *What, uint32_t Addr) {
+  char Buf[96];
+  std::snprintf(Buf, sizeof(Buf), "%s at 0x%x", What, Addr);
+  return Buf;
+}
+
 bool Machine::loadWord(uint32_t Addr, uint32_t &Value) {
   if (Addr < Base || uint64_t{Addr} + 4 > Mem.size()) {
-    fault("out-of-bounds word load at 0x" + std::to_string(Addr));
+    fault(atAddress("out-of-bounds word load", Addr));
     return false;
   }
   if (Addr % 4 != 0) {
@@ -91,7 +98,7 @@ bool Machine::loadWord(uint32_t Addr, uint32_t &Value) {
 
 bool Machine::storeWord(uint32_t Addr, uint32_t Value) {
   if (Addr < Base || uint64_t{Addr} + 4 > Mem.size()) {
-    fault("out-of-bounds word store");
+    fault(atAddress("out-of-bounds word store", Addr));
     return false;
   }
   if (Addr % 4 != 0) {
@@ -108,7 +115,7 @@ bool Machine::storeWord(uint32_t Addr, uint32_t Value) {
 
 bool Machine::loadByte(uint32_t Addr, uint8_t &Value) {
   if (Addr < Base || Addr >= Mem.size()) {
-    fault("out-of-bounds byte load");
+    fault(atAddress("out-of-bounds byte load", Addr));
     return false;
   }
   Value = Mem[Addr];
@@ -117,7 +124,7 @@ bool Machine::loadByte(uint32_t Addr, uint8_t &Value) {
 
 bool Machine::storeByte(uint32_t Addr, uint8_t Value) {
   if (Addr < Base || Addr >= Mem.size()) {
-    fault("out-of-bounds byte store");
+    fault(atAddress("out-of-bounds byte store", Addr));
     return false;
   }
   Mem[Addr] = Value;

@@ -66,14 +66,7 @@ Status squash::relocateRegionWords(std::vector<uint32_t> &Words,
 }
 
 uint32_t squash::expandedWordsCrc(const std::vector<uint32_t> &Words) {
-  uint32_t Crc = 0;
-  for (uint32_t W : Words) {
-    uint8_t B[4] = {static_cast<uint8_t>(W), static_cast<uint8_t>(W >> 8),
-                    static_cast<uint8_t>(W >> 16),
-                    static_cast<uint8_t>(W >> 24)};
-    Crc = crc32(B, 4, Crc);
-  }
-  return Crc;
+  return crc32Words(Words.data(), Words.size());
 }
 
 namespace {

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 using namespace squash;
 using namespace vea;
@@ -73,6 +74,7 @@ std::vector<RuntimeSystem::Event> RuntimeSystem::events() const {
 void RuntimeSystem::Stats::exportMetrics(vea::MetricsRegistry &R,
                                          const std::string &Prefix) const {
   R.setCounter(Prefix + "decompressions", Decompressions);
+  R.setCounter(Prefix + "region_decodes", RegionDecodes);
   R.setCounter(Prefix + "decoded_instructions", DecodedInstructions);
   R.setCounter(Prefix + "entry_stub_calls", EntryStubCalls);
   R.setCounter(Prefix + "restore_stub_calls", RestoreStubCalls);
@@ -220,6 +222,7 @@ Status RuntimeSystem::attach(Machine &M) {
     St.FastTableBuildNanos = Tables->buildNanos();
   }
   ArmPrefetchCorrupt = SP.ArmPrefetchCorrupt;
+  Memo.assign(SP.Regions.size(), MemoEntry{});
 
   // Full-content scans of guest memory (optional; the offset table and
   // each region are re-checked lazily on every fill regardless).
@@ -340,8 +343,8 @@ bool RuntimeSystem::restoreEntryStubs(Machine &M, uint32_t Region) {
 RuntimeSystem::DecodeOutcome
 RuntimeSystem::decodeRegionWords(uint32_t Region, const uint8_t *Mem,
                                  std::vector<uint32_t> &Words,
-                                 uint64_t &Decoded,
-                                 DecodeWork *WorkOut) const {
+                                 uint64_t &Decoded, DecodeWork *WorkOut,
+                                 size_t *EndBitOut) const {
   const RuntimeLayout &L = SP.Layout;
   const RegionImageInfo &RI = SP.Regions[Region];
   Words.clear();
@@ -377,6 +380,8 @@ RuntimeSystem::decodeRegionWords(uint32_t Region, const uint8_t *Mem,
     }
     DecOk = Dec.ok();
     Work.Instructions = Decoded;
+    if (EndBitOut)
+      *EndBitOut = Dec.bitPosition();
   } else {
     // The codec-dispatched slow path: the region's coder hands out a
     // cursor over the shared blob (Huffman regions land here too when
@@ -389,6 +394,8 @@ RuntimeSystem::decodeRegionWords(uint32_t Region, const uint8_t *Mem,
     }
     DecOk = Cur->ok();
     Work = Cur->work();
+    if (EndBitOut)
+      *EndBitOut = Cur->bitPosition();
   }
   if (WorkOut)
     *WorkOut = Work;
@@ -397,6 +404,26 @@ RuntimeSystem::decodeRegionWords(uint32_t Region, const uint8_t *Mem,
   if (expandedWordsCrc(Words) != RI.Crc32)
     return DecodeOutcome::BadCrc;
   return DecodeOutcome::Ok;
+}
+
+bool RuntimeSystem::memoHit(const Machine &M, uint32_t Region,
+                            std::vector<uint32_t> &Words, uint64_t &Decoded,
+                            DecodeWork &Work) const {
+  const MemoEntry &E = Memo[Region];
+  if (E.Bits.empty())
+    return false;
+  // The decode is a deterministic function of the bits it consumed, and
+  // the memoized words already passed the CRC check; any change to those
+  // bytes (self-modifying guest, injected fault) sends the fill back
+  // through the full decode and its checks.
+  const uint8_t *Span =
+      M.memData() + SP.Layout.BlobBase + SP.Regions[Region].BitOffset / 8;
+  if (std::memcmp(Span, E.Bits.data(), E.Bits.size()) != 0)
+    return false;
+  Words = E.Words;
+  Decoded = E.Decoded;
+  Work = E.Work;
+  return true;
 }
 
 bool RuntimeSystem::consumePrefetch(Machine &M, uint32_t Region,
@@ -419,6 +446,7 @@ bool RuntimeSystem::consumePrefetch(Machine &M, uint32_t Region,
   PF.Region = -1;
   PF.Ready.store(false, std::memory_order_relaxed);
   St.HostDecodeNanos += PF.Nanos;
+  ++St.RegionDecodes;
   if (Staged != Region || !PF.Ok) {
     ++St.PrefetchWasted;
     record(M, Event::Kind::PrefetchDrop, Staged);
@@ -564,7 +592,9 @@ bool RuntimeSystem::fillBuffer(Machine &M, uint32_t Region,
   // leaves a partially-overwritten buffer; the guest sees either the full
   // region or (on recovery) the retained copy. A staged decode-ahead
   // result stands in for the demand decode only after the offset-table
-  // word above and the expanded-words CRC both re-validate.
+  // word above and the expanded-words CRC both re-validate; a memoized one
+  // only after the word above and the blob bytes it consumed do. Only
+  // decodes that passed every check are memoized.
   std::string Corrupt;
   std::vector<uint32_t> Words;
   uint64_t Decoded = 0;
@@ -575,24 +605,35 @@ bool RuntimeSystem::fillBuffer(Machine &M, uint32_t Region,
     Corrupt = "corrupt function offset table entry";
   } else {
     Prefetched = consumePrefetch(M, Region, Words, Decoded);
-    if (!Prefetched) {
-      if (SP.Opts.DecodeAhead)
-        ++St.PrefetchMisses;
+    if (!Prefetched && SP.Opts.DecodeAhead)
+      ++St.PrefetchMisses;
+    if (!Prefetched && !memoHit(M, Region, Words, Decoded, Work)) {
       const auto T0 = std::chrono::steady_clock::now();
       DecodeOutcome O;
+      size_t EndBit = 0;
       {
         // The per-codec decode child span; its name is the codec's.
         SpanScope Dec(codecKindName(SP.regionCodec(Region)), "decode",
                       M.cycles());
-        O = decodeRegionWords(Region, M.memData(), Words, Decoded, &Work);
+        O = decodeRegionWords(Region, M.memData(), Words, Decoded, &Work,
+                              &EndBit);
         Dec.setArgs(Region, Decoded);
       }
       St.HostDecodeNanos += nanosSince(T0);
-      if (O == DecodeOutcome::BadStream)
+      ++St.RegionDecodes;
+      if (O == DecodeOutcome::Ok) {
+        const uint8_t *Blob = M.memData() + L.BlobBase;
+        MemoEntry &E = Memo[Region];
+        E.Bits.assign(Blob + RI.BitOffset / 8, Blob + (EndBit + 7) / 8);
+        E.Words = Words;
+        E.Decoded = Decoded;
+        E.Work = Work;
+      } else if (O == DecodeOutcome::BadStream) {
         Corrupt = "corrupt compressed region " + std::to_string(Region);
-      else if (O == DecodeOutcome::BadCrc)
+      } else {
         Corrupt = "compressed region " + std::to_string(Region) +
                   " failed checksum";
+      }
     }
   }
 
@@ -645,7 +686,7 @@ bool RuntimeSystem::fillBuffer(Machine &M, uint32_t Region,
     SlotOfRegion[Cache[Slot].Region] = -1; // Paper-mode overwrite.
   Cache[Slot].Region = static_cast<int32_t>(Region);
   Cache[Slot].LastUse = ++UseTick;
-  Cache[Slot].Crc = expandedWordsCrc(Words);
+  Cache[Slot].Crc = Active ? expandedWordsCrc(Words) : 0;
   Cache[Slot].StubsRewritten = false;
   SlotOfRegion[Region] = static_cast<int32_t>(Slot);
   if (!M.storeWord(L.SlotMapBase + 4 * Slot, Region))

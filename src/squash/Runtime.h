@@ -143,6 +143,9 @@ class RuntimeSystem : public vea::TrapHandler {
 public:
   struct Stats {
     uint64_t Decompressions = 0;       ///< Region fills.
+    uint64_t RegionDecodes = 0; ///< Host decodes actually run: demand
+                                ///< decodes plus consumed staged ones
+                                ///< (decode-memo hits run none).
     uint64_t DecodedInstructions = 0;  ///< Instructions decoded into buffer.
     uint64_t EntryStubCalls = 0;       ///< Decompress from an entry stub.
     uint64_t RestoreStubCalls = 0;     ///< Decompress from a restore stub.
@@ -345,12 +348,20 @@ private:
   /// recorded codec — the table-driven fast decoder for Huffman regions
   /// when enabled, the codec's streaming cursor otherwise. Shared by the
   /// demand fill path and the decode-ahead worker. \p WorkOut, when
-  /// non-null, receives the decode-work breakdown the cost model prices.
+  /// non-null, receives the decode-work breakdown the cost model prices;
+  /// \p EndBitOut, when non-null, the blob bit just past the last one the
+  /// decode consumed.
   enum class DecodeOutcome { Ok, BadStream, BadCrc };
   DecodeOutcome decodeRegionWords(uint32_t Region, const uint8_t *Mem,
                                   std::vector<uint32_t> &Words,
                                   uint64_t &Decoded,
-                                  DecodeWork *WorkOut = nullptr) const;
+                                  DecodeWork *WorkOut = nullptr,
+                                  size_t *EndBitOut = nullptr) const;
+  /// Serves a demand fill of \p Region from the decode memo when the blob
+  /// bytes its memoized decode consumed are still byte-identical in \p M.
+  bool memoHit(const vea::Machine &M, uint32_t Region,
+               std::vector<uint32_t> &Words, uint64_t &Decoded,
+               DecodeWork &Work) const;
   /// Hands the staged decode-ahead result to a fill of \p Region. Returns
   /// true only when the staged region matches and re-passes the
   /// expanded-words CRC check; any failure consumes (discards) the staging
@@ -372,6 +383,18 @@ private:
 
   const SquashedProgram &SP;
   Stats St;
+
+  /// The decode memo (DESIGN.md §3): per region, the last demand decode
+  /// that passed every check, keyed by a copy of the blob bytes it
+  /// consumed. Host time only — a fill served from it is charged the same
+  /// DecodeWork as the decode it replays. Reset at every attach.
+  struct MemoEntry {
+    std::vector<uint8_t> Bits; ///< Blob bytes [BitOffset/8, ceil(end/8)).
+    std::vector<uint32_t> Words; ///< Slot-0 expanded words.
+    uint64_t Decoded = 0;
+    DecodeWork Work;
+  };
+  std::vector<MemoEntry> Memo; ///< Indexed by region; empty Bits = none.
   int32_t CurrentRegion = -1;
   TrapObserver *Observer = nullptr;
   uint64_t HitStreak = 0; ///< Resident hits since the last fill.
@@ -407,7 +430,8 @@ private:
 
   /// Host mirror of the decode cache: per slot, the resident region, an
   /// LRU tick, and the CRC of the slot-relocated words written at fill
-  /// time (re-checked before a hit is served).
+  /// time (re-checked before a hit is served; computed only while the
+  /// cache is active, since nothing else reads it).
   struct CacheSlotState {
     int32_t Region = -1;
     uint64_t LastUse = 0;

@@ -27,6 +27,11 @@ namespace vea {
 /// over split spans equals crc32(A+B) only when chained via this parameter.
 uint32_t crc32(const uint8_t *Data, size_t Len, uint32_t Crc = 0);
 
+/// CRC-32 of \p Count words serialized little-endian, in one pass: equal to
+/// crc32() over those bytes (the layout of the words in guest memory)
+/// whatever the host's byte order.
+uint32_t crc32Words(const uint32_t *Words, size_t Count, uint32_t Crc = 0);
+
 } // namespace vea
 
 #endif // SQUASH_SUPPORT_CHECKSUM_H

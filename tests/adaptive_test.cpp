@@ -34,6 +34,11 @@ namespace {
 
 constexpr double Scale = 0.05;
 
+/// Instruction budget for the reference run: about ten times what it
+/// retires, so a runtime regression that spins fails fast instead of at
+/// the default limit.
+constexpr uint64_t RunBudget = 5'000'000;
+
 /// Compacted adpcm workload, its training profile (input A), and the
 /// reference behaviour of the initial squashed image on input B.
 struct Fixture {
@@ -48,7 +53,7 @@ struct Fixture {
     Training = profileImage(Baseline, W.ProfilingInput).take();
     SquashResult SR = squashProgram(W.Prog, Training, options()).take();
     EXPECT_FALSE(SR.Identity);
-    Base = runSquashed(SR.SP, W.TimingInput);
+    Base = runSquashed(SR.SP, W.TimingInput, RunBudget);
     EXPECT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
     EXPECT_GT(Base.Runtime.TrapCycles.count(), 0u)
         << "input B must reach compressed code for these tests to bite";
@@ -211,7 +216,7 @@ TEST(Adaptive, SwapAtEveryTrapIndexIsInvisibleToTheServingRun) {
     Obs.C = C.get();
     Obs.K = K;
     SquashedRun Run =
-        C->serve(Fx.W.TimingInput, 2'000'000'000ull, &Obs);
+        C->serve(Fx.W.TimingInput, RunBudget, &Obs);
     ASSERT_TRUE(Obs.Published) << "observer never reached trap " +
                                       std::to_string(K);
     // The swap landed mid-run, yet the pinned run is byte-identical.
@@ -256,7 +261,7 @@ TEST(Adaptive, SwapDuringPrefetchIsInvisibleToTheServingRun) {
     PublishAtTrap Obs;
     Obs.C = C.get();
     Obs.K = K;
-    SquashedRun Run = C->serve(Fx.W.TimingInput, 2'000'000'000ull, &Obs);
+    SquashedRun Run = C->serve(Fx.W.TimingInput, RunBudget, &Obs);
     ASSERT_TRUE(Obs.Published) << "observer never reached trap " +
                                       std::to_string(K);
     // The swap landed while a prefetch may have been in flight, yet the

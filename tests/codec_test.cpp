@@ -32,6 +32,11 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every squashed run here: about ten times the
+/// longest, so a runtime regression that spins fails fast instead of at
+/// the default limit.
+constexpr uint64_t RunBudget = 5'000'000;
+
 /// Generates a random legal instruction.
 MInst randomInst(Rng &R) {
   Opcode Op;
@@ -292,7 +297,7 @@ TEST(CodecSelect, ForcedCodecRunsEndToEndWithPerCodecStats) {
   for (size_t R = 0; R != SR.SP.Regions.size(); ++R)
     EXPECT_EQ(SR.SP.regionCodec(R), Want) << "region " << R;
 
-  SquashedRun Run = runSquashed(SR.SP, Fx.W.TimingInput);
+  SquashedRun Run = runSquashed(SR.SP, Fx.W.TimingInput, RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Run.ExitCode, Fx.Base.ExitCode);
   EXPECT_EQ(Run.Output, Fx.BaseOutput);
@@ -333,7 +338,7 @@ TEST(CodecSelect, AutoIsNeverWorseThanAlwaysHuffman) {
   EXPECT_LE(AutoObj, HuffObj);
 
   // Auto still runs correctly.
-  SquashedRun Run = runSquashed(Auto.SP, Fx.W.TimingInput);
+  SquashedRun Run = runSquashed(Auto.SP, Fx.W.TimingInput, RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Run.ExitCode, Fx.Base.ExitCode);
   EXPECT_EQ(Run.Output, Fx.BaseOutput);
@@ -416,7 +421,7 @@ TEST(FormatVersion, AttachRejectsForeignVersions) {
   for (uint32_t Bad : {0u, 1u, RuntimeLayout::CurrentFormatVersion + 1}) {
     SquashedProgram SP = SR.SP;
     SP.Layout.FormatVersion = Bad;
-    SquashedRun Run = runSquashed(SP, Fx.W.TimingInput);
+    SquashedRun Run = runSquashed(SP, Fx.W.TimingInput, RunBudget);
     ASSERT_EQ(Run.Run.Status, RunStatus::Fault)
         << "version " << Bad << " attached";
     EXPECT_NE(Run.Run.FaultMessage.find("format version"), std::string::npos)
@@ -434,7 +439,7 @@ TEST(FormatVersion, RegionWithUnknownCodecIdIsRejected) {
   for (uint8_t Bad : {static_cast<uint8_t>(NumCodecKinds), uint8_t{2}}) {
     SquashedProgram SP = SR.SP;
     SP.Regions[0].Codec = Bad;
-    SquashedRun Run = runSquashed(SP, Fx.W.TimingInput);
+    SquashedRun Run = runSquashed(SP, Fx.W.TimingInput, RunBudget);
     ASSERT_EQ(Run.Run.Status, RunStatus::Fault) << "codec id " << int(Bad);
     EXPECT_NE(Run.Run.FaultMessage.find("unknown codec"), std::string::npos)
         << Run.Run.FaultMessage;

@@ -23,6 +23,11 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every run here: the fixtures retire a few
+/// thousand instructions at most, so a run that spins fails in
+/// milliseconds instead of at the default limit.
+constexpr uint64_t FixtureBudget = 100'000;
+
 /// A squashable program whose compressed half actually runs: the loop and
 /// both helpers are skipped on the profiling input (byte 0) so they go
 /// cold and compress, then the measurement input (byte 1) drives the loop
@@ -66,7 +71,7 @@ SquashedRun squashAndRun(const Options &Opts) {
   Image Baseline = layoutProgram(Prog);
   Profile Prof = profileImage(Baseline, {0}).take();
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
-  SquashedRun Run = runSquashed(SR.SP, {1});
+  SquashedRun Run = runSquashed(SR.SP, {1}, FixtureBudget);
   EXPECT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   return Run;
 }

@@ -10,7 +10,8 @@
 // per-slot revalidation paths (guest slot-map disagreement, resident CRC
 // mismatch) driven one trap at a time, and the decode-ahead prefetcher's
 // guest-invisibility contract (hits, mispredictions, trace accounting,
-// predictor pre-seeding).
+// predictor pre-seeding), and the decode memo (one decode per region, and
+// a blob bit flip inside a region's consumed span reaching the checks).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,7 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
 
 using namespace vea;
 using namespace squash;
@@ -31,6 +35,17 @@ namespace {
 
 /// Iterations of the thrash loop (exact counts below are linear in this).
 constexpr uint32_t Reps = 6;
+
+/// Instruction budget for every run here: the longest (50 iterations)
+/// retires a few thousand instructions, so a stale decode that spins
+/// fails in milliseconds instead of running to the default limit.
+constexpr uint64_t ThrashBudget = 100'000;
+
+Machine::Config thrashConfig() {
+  Machine::Config Cfg;
+  Cfg.MaxInstructions = ThrashBudget;
+  return Cfg;
+}
 
 /// A hot driver loop whose guarded cold body calls three cold leaf
 /// functions in rotation. Squashed with PackRegions off this yields exactly
@@ -88,22 +103,22 @@ struct Squashed {
 
 /// Squashes the thrash program with \p Slots cache slots (profile skips the
 /// cold body; timing input executes it), remembering the baseline run.
+/// \p Opts supplies every other option.
 Squashed squashThrash(uint32_t Slots, bool DirectStubs,
-                      uint32_t Iterations = Reps) {
+                      uint32_t Iterations = Reps, Options Opts = Options()) {
   Program Prog = thrashProgram(Iterations);
   Image Baseline = layoutProgram(Prog);
   Profile Prof = profileImage(Baseline, {0}).take();
 
   Squashed Out;
   {
-    Machine M(Baseline);
+    Machine M(Baseline, thrashConfig());
     M.setInput({1});
     Out.Base = M.run();
     Out.BaseOut = M.output();
     EXPECT_EQ(Out.Base.Status, RunStatus::Halted);
   }
 
-  Options Opts;
   Opts.PackRegions = false;
   Opts.CacheSlots = Slots;
   Opts.ReuseBufferedRegion = true; // Activate the cache even at one slot.
@@ -115,7 +130,7 @@ Squashed squashThrash(uint32_t Slots, bool DirectStubs,
 
 /// Runs the squashed image on the timing input and checks equivalence.
 SquashedRun runAndCheck(const Squashed &S) {
-  SquashedRun R = runSquashed(S.SR.SP, {1});
+  SquashedRun R = runSquashed(S.SR.SP, {1}, ThrashBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Halted) << R.Run.FaultMessage;
   EXPECT_EQ(R.Run.ExitCode, S.Base.ExitCode);
   EXPECT_EQ(R.Output, S.BaseOut);
@@ -165,10 +180,9 @@ TEST(DecodeCache, RefilledSlotRunsTheNewRegion) {
   // the previous region's code. Each returns a different value (3, 10,
   // 17), so the sum only comes out right if every refill's code, not a
   // stale decode of the slot's earlier occupant, is what runs.
-  // The budget turns a stale decode that loops into a quick failure.
   Squashed S = squashThrash(1, /*DirectStubs=*/false);
   ASSERT_EQ(S.SR.SP.Regions.size(), 4u);
-  SquashedRun Run = runSquashed(S.SR.SP, {1}, /*MaxInstructions=*/100'000);
+  SquashedRun Run = runSquashed(S.SR.SP, {1}, ThrashBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Runtime.Decompressions, 6 * Reps + 1);
   EXPECT_EQ(Run.Output, S.BaseOut);
@@ -224,7 +238,7 @@ TEST(DecodeCache, EvictionRestoresDirectStubs) {
 
 TEST(DecodeCache, EvictTraceNamesSlotAndRegion) {
   Squashed S = squashThrash(2, /*DirectStubs=*/false);
-  Machine M(S.SR.SP.Img);
+  Machine M(S.SR.SP.Img, thrashConfig());
   RuntimeSystem RT(S.SR.SP);
   RT.enableTrace();
   ASSERT_TRUE(RT.attach(M).ok());
@@ -264,7 +278,7 @@ class Revalidation : public ::testing::Test {
 protected:
   void SetUp() override {
     S = squashThrash(2, /*DirectStubs=*/false);
-    M.emplace(S.SR.SP.Img);
+    M.emplace(S.SR.SP.Img, thrashConfig());
     RT.emplace(S.SR.SP);
     ASSERT_TRUE(RT->attach(*M).ok());
     // Find a region that owns an entry stub to drive.
@@ -378,7 +392,7 @@ namespace {
 SquashedRun runThrashDecodeAhead(const Squashed &S, bool DecodeAhead) {
   SquashedProgram SP = S.SR.SP;
   SP.Opts.DecodeAhead = DecodeAhead;
-  SquashedRun R = runSquashed(SP, {1});
+  SquashedRun R = runSquashed(SP, {1}, ThrashBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Halted) << R.Run.FaultMessage;
   EXPECT_EQ(R.Run.ExitCode, S.Base.ExitCode);
   EXPECT_EQ(R.Output, S.BaseOut);
@@ -438,7 +452,7 @@ TEST(DecodeAhead, MispredictionsAreWastedNeverObservable) {
   ASSERT_EQ(NumRegions, 4u);
 
   SquashedProgram OffSP = S.SR.SP;
-  Machine OffM(OffSP.Img);
+  Machine OffM(OffSP.Img, thrashConfig());
   RuntimeSystem OffRT(OffSP);
   ASSERT_TRUE(OffRT.attach(OffM).ok());
   OffM.setInput({1});
@@ -446,7 +460,7 @@ TEST(DecodeAhead, MispredictionsAreWastedNeverObservable) {
 
   SquashedProgram OnSP = S.SR.SP;
   OnSP.Opts.DecodeAhead = true;
-  Machine OnM(OnSP.Img);
+  Machine OnM(OnSP.Img, thrashConfig());
   RuntimeSystem OnRT(OnSP);
   ASSERT_TRUE(OnRT.attach(OnM).ok());
   for (uint32_t From = 0; From != NumRegions; ++From)
@@ -472,7 +486,7 @@ TEST(DecodeAhead, TraceEventsAccountForEveryLaunch) {
   Squashed S = squashThrash(1, /*DirectStubs=*/false, /*Iterations=*/12);
   SquashedProgram SP = S.SR.SP;
   SP.Opts.DecodeAhead = true;
-  SquashedRun Run = runSquashed(SP, {1}, 2'000'000'000ull,
+  SquashedRun Run = runSquashed(SP, {1}, ThrashBudget,
                                 RuntimeSystem::DefaultTraceCapacity);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Output, S.BaseOut);
@@ -508,12 +522,12 @@ TEST(DecodeAhead, SeededPredictorHitsFromTheFirstIteration) {
   SquashedProgram SP = S.SR.SP;
   SP.Opts.DecodeAhead = true;
 
-  SquashedRun Cold = runSquashed(SP, {1}, 2'000'000'000ull,
+  SquashedRun Cold = runSquashed(SP, {1}, ThrashBudget,
                                  RuntimeSystem::DefaultTraceCapacity);
   ASSERT_EQ(Cold.Run.Status, RunStatus::Halted) << Cold.Run.FaultMessage;
   ASSERT_GT(Cold.Runtime.PrefetchMisses, 0u);
 
-  Machine M(SP.Img);
+  Machine M(SP.Img, thrashConfig());
   RuntimeSystem RT(SP);
   ASSERT_TRUE(RT.attach(M).ok());
   seedPredictorFromEvents(RT.predictor(), Cold.Trace);
@@ -534,4 +548,190 @@ TEST(DecodeCache, ZeroSlotsIsRejected) {
   Expected<SquashResult> R = squashProgram(Prog, Prof, Opts);
   ASSERT_FALSE(R.ok());
   EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);
+}
+
+//===----------------------------------------------------------------------===//
+// Decode memo (DESIGN.md §3): a fill of a region whose consumed blob bytes
+// are unchanged since its last good decode replays that decode instead of
+// running it again. Only host time changes; any change to those bytes must
+// send the fill back through the full decode and its checks.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The thrash image in the paper's configuration (one slot, no reuse), so
+/// every entry refills and each region is filled many times.
+SquashedProgram paperModeThrash(const Squashed &S) {
+  SquashedProgram SP = S.SR.SP;
+  SP.Opts.ReuseBufferedRegion = false;
+  return SP;
+}
+
+/// The blob bit just past the last one region \p R's decode consumes.
+size_t consumedEndBit(const SquashedProgram &SP, uint32_t R) {
+  const uint8_t *Blob =
+      SP.Img.Bytes.data() + (SP.Layout.BlobBase - SP.Img.Base);
+  std::unique_ptr<RegionCursor> Cur =
+      SP.makeRegionCursor(R, Blob, SP.Layout.BlobBytes);
+  MInst I;
+  while (Cur->next(I)) {
+  }
+  EXPECT_TRUE(Cur->ok());
+  return Cur->bitPosition();
+}
+
+/// Flips one bit of guest byte Addr right after the first fill of Region,
+/// then counts that region's later fills.
+class FlipAfterFirstFill : public TrapObserver {
+public:
+  FlipAfterFirstFill(Machine &M, uint32_t Region, uint32_t Addr)
+      : M(M), Region(Region), Addr(Addr) {}
+
+  void onRegionEntry(uint32_t R, bool Filled, bool, uint64_t) override {
+    if (R != Region || !Filled)
+      return;
+    if (Flipped) {
+      ++FillsAfterFlip;
+      return;
+    }
+    uint8_t B = 0;
+    ASSERT_TRUE(M.loadByte(Addr, B));
+    ASSERT_TRUE(M.storeByte(Addr, B ^ 0x10));
+    Flipped = true;
+  }
+
+  bool Flipped = false;
+  uint64_t FillsAfterFlip = 0;
+
+private:
+  Machine &M;
+  uint32_t Region;
+  uint32_t Addr;
+};
+
+struct FlippedRun {
+  RunResult Run;
+  RuntimeSystem::Stats St;
+  std::vector<uint8_t> Output;
+  bool Flipped = false;
+  uint64_t FillsAfterFlip = 0;
+};
+
+/// Runs \p SP on the timing input, flipping a bit of \p Addr after the
+/// first fill of \p Region (never, when no such region exists).
+FlippedRun runWithFlip(const SquashedProgram &SP, uint32_t Region,
+                       uint32_t Addr) {
+  Machine M(SP.Img, thrashConfig());
+  RuntimeSystem RT(SP);
+  EXPECT_TRUE(RT.attach(M).ok());
+  FlipAfterFirstFill Flip(M, Region, Addr);
+  RT.setTrapObserver(&Flip);
+  M.setInput({1});
+  FlippedRun Out;
+  Out.Run = M.run();
+  Out.St = RT.stats();
+  Out.Output = M.output();
+  Out.Flipped = Flip.Flipped;
+  Out.FillsAfterFlip = Flip.FillsAfterFlip;
+  return Out;
+}
+
+} // namespace
+
+TEST(DecodeMemo, ThrashRunsOneDecodePerRegion) {
+  // Paper mode: all 7 * Reps entries refill, yet each of the four regions
+  // is decoded once. Every guest-visible and charged figure is the same as
+  // if each fill had decoded (the run goldens pin that for the workloads).
+  // Both decoders report the consumed span the memo is keyed on.
+  Squashed S = squashThrash(1, /*DirectStubs=*/false);
+  ASSERT_EQ(S.SR.SP.Regions.size(), 4u);
+  for (bool Fast : {true, false}) {
+    SquashedProgram SP = paperModeThrash(S);
+    SP.Opts.FastDecode = Fast;
+    SquashedRun Paper = runSquashed(SP, {1}, ThrashBudget);
+    ASSERT_EQ(Paper.Run.Status, RunStatus::Halted) << Paper.Run.FaultMessage;
+    EXPECT_EQ(Paper.Output, S.BaseOut);
+    EXPECT_EQ(Paper.Runtime.Decompressions, 7 * Reps);
+    EXPECT_EQ(Paper.Runtime.RegionDecodes, 4u) << "FastDecode " << Fast;
+  }
+
+  // With the cache active, at every slot count.
+  for (uint32_t Slots = 1; Slots != 5; ++Slots) {
+    SquashedRun Run = runAndCheck(squashThrash(Slots, /*DirectStubs=*/false));
+    EXPECT_LE(Run.Runtime.RegionDecodes, 4u) << Slots << " slots";
+    EXPECT_GT(Run.Runtime.RegionDecodes, 0u) << Slots << " slots";
+  }
+}
+
+TEST(DecodeMemo, BlobFlipInsideSpanReachesTheChecks) {
+  // Flip one bit inside region R's consumed span between two of its fills:
+  // the next fill must not replay the memo but decode, fail its checks,
+  // and fault (or recover from the retained copy) exactly as without it.
+  for (bool Recover : {false, true}) {
+    Options Opts;
+    Opts.RetainRecoveryCopies = Recover;
+    Squashed S = squashThrash(1, /*DirectStubs=*/false, Reps, Opts);
+    SquashedProgram SP = paperModeThrash(S);
+    ASSERT_EQ(SP.Regions.size(), 4u);
+    for (uint32_t R = 0; R != SP.Regions.size(); ++R) {
+      SCOPED_TRACE("region " + std::to_string(R) +
+                   (Recover ? ", recovery copies" : ", no recovery copies"));
+      // A byte wholly inside the span, shared with no other region.
+      const uint32_t Lo = (SP.Regions[R].BitOffset + 7) / 8;
+      const uint32_t Hi = static_cast<uint32_t>(consumedEndBit(SP, R) / 8);
+      ASSERT_LT(Lo, Hi);
+      FlippedRun Run = runWithFlip(SP, R, SP.Layout.BlobBase + (Lo + Hi) / 2);
+      ASSERT_TRUE(Run.Flipped);
+      if (Recover) {
+        EXPECT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
+        EXPECT_EQ(Run.Output, S.BaseOut);
+        EXPECT_GT(Run.FillsAfterFlip, 0u);
+        EXPECT_EQ(Run.St.CorruptRegionRecoveries, Run.FillsAfterFlip);
+        continue;
+      }
+      ASSERT_EQ(Run.Run.Status, RunStatus::Fault);
+      const std::string &Msg = Run.Run.FaultMessage;
+      const std::string Id = std::to_string(R);
+      EXPECT_TRUE(
+          Msg.rfind("compressed region " + Id + " failed checksum (pc=", 0) ==
+              0 ||
+          Msg.rfind("corrupt compressed region " + Id + " (pc=", 0) == 0)
+          << Msg;
+    }
+  }
+}
+
+TEST(DecodeMemo, BlobFlipOutsideEverySpanChangesNothing) {
+  // A flipped blob byte that no region's decode consumes (here, in the
+  // code tables ahead of the first region) must leave the run, and the
+  // memo's hits, exactly as they were.
+  Squashed S = squashThrash(1, /*DirectStubs=*/false);
+  SquashedProgram SP = paperModeThrash(S);
+  std::vector<bool> Consumed(SP.Layout.BlobBytes, false);
+  for (uint32_t R = 0; R != SP.Regions.size(); ++R)
+    for (size_t B = SP.Regions[R].BitOffset / 8,
+                E = (consumedEndBit(SP, R) + 7) / 8;
+         B != E; ++B)
+      Consumed[B] = true;
+  const auto Outside = std::find(Consumed.begin(), Consumed.end(), false);
+  ASSERT_NE(Outside, Consumed.end()) << "every blob byte is in some span";
+  const uint32_t Addr = SP.Layout.BlobBase +
+                        static_cast<uint32_t>(Outside - Consumed.begin());
+
+  FlippedRun Clean = runWithFlip(SP, ~0u, Addr);
+  FlippedRun Flipped = runWithFlip(SP, 0, Addr);
+  ASSERT_FALSE(Clean.Flipped);
+  ASSERT_TRUE(Flipped.Flipped);
+  ASSERT_EQ(Clean.Run.Status, RunStatus::Halted) << Clean.Run.FaultMessage;
+  EXPECT_EQ(Clean.Output, S.BaseOut);
+  EXPECT_EQ(Flipped.Run.Status, Clean.Run.Status) << Flipped.Run.FaultMessage;
+  EXPECT_EQ(Flipped.Run.ExitCode, Clean.Run.ExitCode);
+  EXPECT_EQ(Flipped.Run.Instructions, Clean.Run.Instructions);
+  EXPECT_EQ(Flipped.Run.Cycles, Clean.Run.Cycles);
+  EXPECT_EQ(Flipped.Output, Clean.Output);
+  EXPECT_EQ(Flipped.St.Decompressions, Clean.St.Decompressions);
+  EXPECT_EQ(Flipped.St.DecodedInstructions, Clean.St.DecodedInstructions);
+  EXPECT_EQ(Flipped.St.RegionDecodes, Clean.St.RegionDecodes);
+  EXPECT_EQ(Flipped.St.RegionDecodes, 4u);
+  EXPECT_EQ(Flipped.St.CorruptRegionRecoveries, 0u);
 }

@@ -23,6 +23,17 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every run here: the fixtures retire a few
+/// thousand instructions at most, so a run that spins fails in
+/// milliseconds instead of at the default limit.
+constexpr uint64_t FixtureBudget = 100'000;
+
+Machine::Config fixtureConfig() {
+  Machine::Config Cfg;
+  Cfg.MaxInstructions = FixtureBudget;
+  return Cfg;
+}
+
 /// True if any block of function \p Name landed in a region.
 bool functionCompressed(const SquashResult &SR,
                         const std::string &Name) {
@@ -115,7 +126,7 @@ TEST(Driver, IndirectCallBlocksExcluded) {
   EXPECT_FALSE(functionCompressed(SR, "dispatcher"));
   EXPECT_TRUE(functionCompressed(SR, "target"));
   // And the squashed program still runs both paths correctly.
-  Machine M(SR.SP.Img);
+  Machine M(SR.SP.Img, fixtureConfig());
   RuntimeSystem RT(SR.SP);
   ASSERT_TRUE(RT.attach(M).ok());
   M.setInput({1});
@@ -273,7 +284,7 @@ TEST(Driver, RunSquashedSurfacesAttachFailure) {
 
   SquashedProgram SP = SR.SP;
   SP.Layout.BufferWords = 0;
-  SquashedRun R = runSquashed(SP, {1});
+  SquashedRun R = runSquashed(SP, {1}, FixtureBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Fault);
   EXPECT_NE(R.Run.FaultMessage.find("no jump slot"), std::string::npos);
   EXPECT_EQ(R.Runtime.Decompressions, 0u);
@@ -298,7 +309,7 @@ TEST(Driver, RunSquashedIsIdempotentOnIdentityImages) {
   Profile Prof = profileImage(Baseline, {}).take();
   SquashResult SR = squashProgram(Prog, Prof, Options()).take();
   ASSERT_TRUE(SR.Identity);
-  SquashedRun R = runSquashed(SR.SP, {});
+  SquashedRun R = runSquashed(SR.SP, {}, FixtureBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Halted);
   EXPECT_EQ(R.Runtime.Decompressions, 0u);
 }
@@ -349,6 +360,6 @@ TEST(Driver, IdentityResultRecordsEveryPass) {
   EXPECT_EQ(Reg.counter("squash.identity"), 1u);
 
   // And the identity image still executes end to end.
-  SquashedRun R = runSquashed(SR.SP, {});
+  SquashedRun R = runSquashed(SR.SP, {}, FixtureBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Halted);
 }

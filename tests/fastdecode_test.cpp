@@ -448,6 +448,11 @@ TEST(FastDecodeFuzz, GarbageStreamsAgreeAndNeverCrash) {
 
 namespace {
 
+/// Instruction budget for every squashed run here: about ten times the
+/// longest (a workload at WorkloadScale), so a runtime regression that
+/// spins fails in well under a second instead of at the default limit.
+constexpr uint64_t RunBudget = 10'000'000;
+
 struct RunObservables {
   RunStatus Status;
   uint32_t ExitCode;
@@ -463,7 +468,7 @@ RunObservables runWith(const SquashedProgram &SP, std::vector<uint8_t> Input,
   Copy.Opts.FastDecode = FastDecode;
   Copy.Opts.DecodeTableBits = TableBits;
   Copy.Opts.DecodeAhead = DecodeAhead;
-  SquashedRun Run = runSquashed(Copy, std::move(Input));
+  SquashedRun Run = runSquashed(Copy, std::move(Input), RunBudget);
   return {Run.Run.Status, Run.Run.ExitCode, Run.Output,
           Run.Runtime.Decompressions, Run.Runtime.DecodedInstructions};
 }
@@ -617,7 +622,7 @@ TEST(FastDecode, TruncatedHostTableRejectedAtAttach) {
     ASSERT_TRUE(FR.has_value());
     SCOPED_TRACE(FR->Description);
     EXPECT_FALSE(SP.Codecs.validate().ok());
-    SquashedRun Run = runSquashed(SP, W.TimingInput);
+    SquashedRun Run = runSquashed(SP, W.TimingInput, RunBudget);
     EXPECT_EQ(Run.Run.Status, RunStatus::Fault);
     EXPECT_FALSE(Run.Run.FaultMessage.empty());
   }

@@ -35,6 +35,11 @@ using namespace squash;
 namespace {
 
 constexpr double Scale = 0.05;
+
+/// Instruction budget for a pristine reference run: about ten times the
+/// longest of them at this scale, so a runtime regression that spins fails
+/// in well under a second instead of at the default limit.
+constexpr uint64_t ReferenceBudget = 5'000'000;
 constexpr uint64_t SeedsPerConfig = 60; // 3 workloads x 2 configs x 60 = 360.
 
 workloads::Workload buildByIndex(int Index) {
@@ -67,7 +72,7 @@ Reference prepare(int Index) {
   Opts.Theta = 0.1; // The timing input reaches compressed code here.
   R.SR = squashProgram(R.W.Prog, Prof, Opts).take();
   EXPECT_FALSE(R.SR.Identity);
-  R.Base = runSquashed(R.SR.SP, R.W.TimingInput);
+  R.Base = runSquashed(R.SR.SP, R.W.TimingInput, ReferenceBudget);
   EXPECT_EQ(R.Base.Run.Status, RunStatus::Halted) << R.Base.Run.FaultMessage;
   // A corrupted run that needs 4x the reference instruction count is a
   // hang for this sweep's purposes.
@@ -249,7 +254,7 @@ Reference prepareCached(uint32_t Slots, bool DirectStubs) {
   Opts.DirectResidentStubs = DirectStubs;
   R.SR = squashProgram(R.W.Prog, Prof, Opts).take();
   EXPECT_FALSE(R.SR.Identity);
-  R.Base = runSquashed(R.SR.SP, R.W.TimingInput);
+  R.Base = runSquashed(R.SR.SP, R.W.TimingInput, ReferenceBudget);
   EXPECT_EQ(R.Base.Run.Status, RunStatus::Halted) << R.Base.Run.FaultMessage;
   R.MaxInstructions = 4 * R.Base.Run.Instructions + 1'000'000;
   return R;
@@ -436,7 +441,7 @@ TEST(FaultInjection, CodecTableCorruptRejectedAtAttach) {
   Opts.Codec = "pattern";
   SquashResult SR = squashProgram(W.Prog, Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
-  SquashedRun Base = runSquashed(SR.SP, W.TimingInput);
+  SquashedRun Base = runSquashed(SR.SP, W.TimingInput, ReferenceBudget);
   ASSERT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
 
   for (uint64_t Seed = 0; Seed != 8; ++Seed) {
@@ -517,7 +522,7 @@ struct AdaptiveFixture {
     Options Opts;
     Opts.Theta = 0.1;
     SquashResult SR = squashProgram(W.Prog, Training, Opts).take();
-    Base = runSquashed(SR.SP, W.TimingInput);
+    Base = runSquashed(SR.SP, W.TimingInput, ReferenceBudget);
     EXPECT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
   }
 

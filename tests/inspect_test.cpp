@@ -19,6 +19,11 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every run here: the fixtures retire a few
+/// thousand instructions at most, so a run that spins fails in
+/// milliseconds instead of at the default limit.
+constexpr uint64_t FixtureBudget = 100'000;
+
 /// Hot main + one cold helper; returns the squash result at θ = 0.
 SquashResult squashedFixture(const Options &Opts) {
   ProgramBuilder PB("t");
@@ -102,9 +107,9 @@ TEST(Extensions, WholeFunctionRegionsStrawman) {
   // are all of colder's blocks.
   EXPECT_EQ(WholeSR.Regions.PackedRegions, 1u);
   // Behaviour is still preserved.
-  SquashedRun Run = runSquashed(WholeSR.SP, {1});
+  SquashedRun Run = runSquashed(WholeSR.SP, {1}, FixtureBudget);
   EXPECT_EQ(Run.Run.Status, RunStatus::Halted);
-  SquashedRun Run2 = runSquashed(SubSR.SP, {1});
+  SquashedRun Run2 = runSquashed(SubSR.SP, {1}, FixtureBudget);
   EXPECT_EQ(Run.Run.ExitCode, Run2.Run.ExitCode);
 }
 

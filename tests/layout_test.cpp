@@ -31,6 +31,11 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every squashed run here: the fixtures retire a
+/// few thousand instructions at most, so a runtime regression that spins
+/// fails in milliseconds instead of at the default limit.
+constexpr uint64_t RunBudget = 100'000;
+
 /// A program with a hot call pair (main -> warm) separated in program
 /// order by a cold function, plus enough cold code to squash. The layout
 /// pass should pull main and warm together, so the computed order is
@@ -341,8 +346,8 @@ TEST(LayoutPass, OnReordersHotHalfAndPreservesBehaviour) {
   EXPECT_NE(formatFunctionLayout(SOff.SP).find("identity"),
             std::string::npos);
 
-  SquashedRun ROff = runSquashed(SOff.SP, {0});
-  SquashedRun ROn = runSquashed(SOn.SP, {0});
+  SquashedRun ROff = runSquashed(SOff.SP, {0}, RunBudget);
+  SquashedRun ROn = runSquashed(SOn.SP, {0}, RunBudget);
   ASSERT_EQ(ROff.Run.Status, RunStatus::Halted);
   ASSERT_EQ(ROn.Run.Status, RunStatus::Halted);
   EXPECT_EQ(ROn.Run.ExitCode, ROff.Run.ExitCode);
@@ -354,7 +359,7 @@ TEST(LayoutPass, OnReordersHotHalfAndPreservesBehaviour) {
     O->Icache.Sets = 8;
     O->Icache.Ways = 1;
     SquashResult SR = squashProgram(Prog, Prof, *O).take();
-    SquashedRun R = runSquashed(SR.SP, {0});
+    SquashedRun R = runSquashed(SR.SP, {0}, RunBudget);
     EXPECT_EQ(R.Run.Status, RunStatus::Halted);
     EXPECT_EQ(R.Output, ROff.Output);
     CycleLedger L = buildCycleLedger(R);

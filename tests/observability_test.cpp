@@ -33,6 +33,11 @@ using namespace squash;
 
 namespace {
 
+/// Instruction budget for every squashed run here: the fixtures retire a
+/// few thousand instructions at most, so a runtime regression that spins
+/// fails in milliseconds instead of at the default limit.
+constexpr uint64_t RunBudget = 100'000;
+
 /// Minimal recursive-descent JSON syntax checker — enough to assert that
 /// every byte the exporters produce is a single well-formed JSON value.
 struct JsonChecker {
@@ -355,7 +360,7 @@ TEST(Observability, ChromeTraceIsStructurallyValid) {
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
 
-  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64), 2'000'000'000ull,
+  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64), RunBudget,
                                 RuntimeSystem::DefaultTraceCapacity);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   ASSERT_FALSE(Run.Trace.empty());
@@ -411,7 +416,7 @@ TEST(Observability, CollectCoversSquashAndRunCounters) {
   Options Opts;
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
-  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64), 2'000'000'000ull,
+  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64), RunBudget,
                                 RuntimeSystem::DefaultTraceCapacity);
 
   MetricsRegistry Reg;
@@ -604,7 +609,7 @@ TEST(ProfileIO, MergedProfileDrivesDifferentialRun) {
   RunResult Base = M.run();
   ASSERT_EQ(Base.Status, RunStatus::Halted);
 
-  SquashedRun Run = runSquashed(SR.SP, Eval);
+  SquashedRun Run = runSquashed(SR.SP, Eval, RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Run.ExitCode, Base.ExitCode);
   EXPECT_EQ(Run.Output, M.output());
@@ -621,7 +626,7 @@ TEST(Observability, TrapHistogramsMatchRunCounters) {
   Options Opts;
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
-  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64));
+  SquashedRun Run = runSquashed(SR.SP, mixedBytes(64), RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   const RuntimeSystem::Stats &St = Run.Runtime;
   ASSERT_GE(St.Decompressions, 1u);
@@ -683,7 +688,7 @@ TEST(Drift, MatchedRunScoresZero) {
   // Replaying the training input: every live entry was predicted, so the
   // one-sided excess score is exactly zero (see DriftMonitor.h).
   DriftMonitor Mon(S.SR.SP, S.Prof);
-  SquashedRun Run = runSquashed(S.SR.SP, Train, 2'000'000'000ull, 0, &Mon);
+  SquashedRun Run = runSquashed(S.SR.SP, Train, RunBudget, 0, &Mon);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   DriftReport Rep = Mon.report();
   EXPECT_EQ(Rep.DriftScore, 0.0);
@@ -700,7 +705,7 @@ TEST(Drift, CrossInputScoresPositive) {
   // training profile called dead: its region's entries are pure excess.
   DriftMonitor Mon(S.SR.SP, S.Prof);
   SquashedRun Run =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &Mon);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &Mon);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   DriftReport Rep = Mon.report();
   EXPECT_GT(Rep.DriftScore, 0.0);
@@ -735,9 +740,9 @@ TEST(Drift, ReportJsonIsDeterministicAndComplete) {
   // JSON — the property that makes drift reports diffable across runs.
   DriftMonitor A(S.SR.SP, S.Prof), B(S.SR.SP, S.Prof);
   SquashedRun R1 =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &A);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &A);
   SquashedRun R2 =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &B);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &B);
   ASSERT_EQ(R1.Run.Status, RunStatus::Halted);
   ASSERT_EQ(R2.Run.Status, RunStatus::Halted);
   std::string J = A.reportJson();
@@ -762,7 +767,7 @@ TEST(Drift, ExportMetricsPublishesAllScalars) {
   ASSERT_FALSE(S.SR.Identity);
   DriftMonitor Mon(S.SR.SP, S.Prof);
   SquashedRun Run =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &Mon);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &Mon);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted);
   DriftReport Rep = Mon.report();
   MetricsRegistry Reg;
@@ -787,7 +792,7 @@ TEST(Drift, LiveProfileMergesWithTraining) {
   ASSERT_FALSE(S.SR.Identity);
   DriftMonitor Mon(S.SR.SP, S.Prof);
   SquashedRun Run =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &Mon);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &Mon);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted);
 
   Profile Live = Mon.liveProfile();
@@ -812,7 +817,7 @@ TEST(Drift, LiveProfileMergesWithTraining) {
   // the drifted input.
   Options Opts;
   SquashResult SR2 = squashProgram(Prog, Merged, Opts).take();
-  SquashedRun Run2 = runSquashed(SR2.SP, mixedBytes(64));
+  SquashedRun Run2 = runSquashed(SR2.SP, mixedBytes(64), RunBudget);
   ASSERT_EQ(Run2.Run.Status, RunStatus::Halted) << Run2.Run.FaultMessage;
   EXPECT_EQ(Run2.Run.ExitCode, Run.Run.ExitCode);
   EXPECT_EQ(Run2.Output, Run.Output);
@@ -832,9 +837,9 @@ TEST(Drift, BenchRowShapeIsValidJson) {
   ASSERT_FALSE(S.SR.Identity);
   DriftMonitor Same(S.SR.SP, S.Prof), Cross(S.SR.SP, S.Prof);
   SquashedRun RunA =
-      runSquashed(S.SR.SP, lowBytes(64, 1), 2'000'000'000ull, 0, &Same);
+      runSquashed(S.SR.SP, lowBytes(64, 1), RunBudget, 0, &Same);
   SquashedRun RunB =
-      runSquashed(S.SR.SP, mixedBytes(64), 2'000'000'000ull, 0, &Cross);
+      runSquashed(S.SR.SP, mixedBytes(64), RunBudget, 0, &Cross);
   ASSERT_EQ(RunA.Run.Status, RunStatus::Halted);
   ASSERT_EQ(RunB.Run.Status, RunStatus::Halted);
 

@@ -14,6 +14,7 @@
 #include "ir/Builder.h"
 #include "sim/Machine.h"
 #include "squash/Driver.h"
+#include "support/Checksum.h"
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,17 @@ using namespace vea;
 using namespace squash;
 
 namespace {
+
+/// Instruction budget for every run here. The fixtures retire a few
+/// thousand instructions at most, so a run that spins (a stale decode, a
+/// broken stub) fails in milliseconds instead of at the default limit.
+constexpr uint64_t FixtureBudget = 100'000;
+
+Machine::Config fixtureConfig() {
+  Machine::Config Cfg;
+  Cfg.MaxInstructions = FixtureBudget;
+  return Cfg;
+}
 
 /// Helper bundling the original/squashed comparison.
 struct Pipeline {
@@ -39,13 +51,13 @@ struct Pipeline {
   /// Runs baseline and squashed on \p Input; requires identical results.
   SquashedRun check(const Options &Opts, std::vector<uint8_t> Input,
                     SquashResult *OutSR = nullptr) {
-    Machine M(Baseline);
+    Machine M(Baseline, fixtureConfig());
     M.setInput(Input);
     RunResult Base = M.run();
     EXPECT_EQ(Base.Status, RunStatus::Halted);
 
     SquashResult SR = squashProgram(Prog, Prof, Opts).take();
-    Machine M2(SR.SP.Img);
+    Machine M2(SR.SP.Img, fixtureConfig());
     RuntimeSystem RT(SR.SP);
     Status At = RT.attach(M2);
     EXPECT_TRUE(At.ok()) << At.toString();
@@ -181,7 +193,7 @@ TEST(Runtime, TraceShowsTheProtocol) {
   SquashResult SR = squashProgram(P.Prog, P.Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
 
-  Machine M(SR.SP.Img);
+  Machine M(SR.SP.Img, fixtureConfig());
   RuntimeSystem RT(SR.SP);
   RT.enableTrace();
   ASSERT_TRUE(RT.attach(M).ok());
@@ -336,7 +348,7 @@ TEST(Runtime, StubAreaExhaustionFaults) {
   Opts.PackRegions = false; // Keep a, b, c in distinct regions.
   SquashResult SR = squashProgram(Prog, Prof, Opts).take();
   ASSERT_FALSE(SR.Identity);
-  Machine M(SR.SP.Img);
+  Machine M(SR.SP.Img, fixtureConfig());
   RuntimeSystem RT(SR.SP);
   ASSERT_TRUE(RT.attach(M).ok());
   M.setInput({1});
@@ -359,7 +371,7 @@ TEST(Runtime, CorruptBlobFaultsCleanly) {
     Broken.Bytes[A - Broken.Base] ^= 0x5A;
   SquashedProgram SP2 = SR.SP;
   SP2.Img = Broken;
-  Machine M(SP2.Img);
+  Machine M(SP2.Img, fixtureConfig());
   RuntimeSystem RT(SP2);
   // The blob checksum catches the corruption at attach; nothing is
   // registered, so running the image faults cleanly at the first entry
@@ -394,7 +406,7 @@ TEST(Runtime, IdentityWhenNothingCompressible) {
   EXPECT_TRUE(SR.Identity);
   EXPECT_EQ(SR.SP.Footprint.totalCodeBytes(),
             SR.SP.Footprint.OriginalCodeBytes);
-  Machine M(SR.SP.Img);
+  Machine M(SR.SP.Img, fixtureConfig());
   EXPECT_EQ(M.run().Status, RunStatus::Halted);
 }
 
@@ -408,7 +420,7 @@ TEST(Runtime, JumpIntoDecompressorMiddleFaults) {
   const RuntimeLayout &L = SR.SP.Layout;
   for (uint32_t PC : {L.DecompBase + 4 * RuntimeLayout::NumEntryPoints,
                       L.DecompEnd - 4}) {
-    Machine M(SR.SP.Img);
+    Machine M(SR.SP.Img, fixtureConfig());
     RuntimeSystem RT(SR.SP);
     ASSERT_TRUE(RT.attach(M).ok());
     M.setInput({1});
@@ -441,7 +453,7 @@ TEST(Runtime, AttachRejectsTruncatedImage) {
   SquashedProgram SP = SR.SP;
   ASSERT_GT(SP.Layout.BlobBytes, 4u);
   SP.Img.Bytes.resize(SP.Img.Bytes.size() - 4); // Blob loses its tail.
-  Machine M(SP.Img);
+  Machine M(SP.Img, fixtureConfig());
   RuntimeSystem RT(SP);
   Status At = RT.attach(M);
   ASSERT_FALSE(At.ok());
@@ -455,7 +467,7 @@ TEST(Runtime, AttachRejectsZeroWordBuffer) {
   ASSERT_FALSE(SR.Identity);
   SquashedProgram SP = SR.SP;
   SP.Layout.BufferWords = 0;
-  Machine M(SP.Img);
+  Machine M(SP.Img, fixtureConfig());
   RuntimeSystem RT(SP);
   Status At = RT.attach(M);
   ASSERT_FALSE(At.ok());
@@ -471,7 +483,7 @@ TEST(Runtime, AttachRejectsShortOffsetTable) {
   // Claim the stub area starts where the offset table does: no room for
   // the region entries.
   SP.Layout.StubAreaBase = SP.Layout.OffsetTableBase;
-  Machine M(SP.Img);
+  Machine M(SP.Img, fixtureConfig());
   RuntimeSystem RT(SP);
   Status At = RT.attach(M);
   ASSERT_FALSE(At.ok());
@@ -488,7 +500,7 @@ TEST(Runtime, AttachRejectsRegionAtExactBlobEnd) {
   ASSERT_FALSE(SR.Identity);
   SquashedProgram SP = SR.SP;
   SP.Regions.back().BitOffset = 8 * SP.Layout.BlobBytes;
-  Machine M(SP.Img);
+  Machine M(SP.Img, fixtureConfig());
   RuntimeSystem RT(SP);
   Status At = RT.attach(M);
   ASSERT_FALSE(At.ok());
@@ -512,6 +524,29 @@ TEST(Rewriter, RegionChecksumsMatchRecoveryCopies) {
   }
 }
 
+TEST(Rewriter, ExpandedWordsCrcIsCrcOfLittleEndianBytes) {
+  // The one-pass word CRC must equal the byte CRC of the words as guest
+  // memory holds them: the resident-slot check compares the two.
+  std::vector<uint32_t> Words;
+  EXPECT_EQ(expandedWordsCrc(Words), crc32(nullptr, 0));
+  uint32_t X = 0x9E3779B9u;
+  for (int I = 0; I != 257; ++I) {
+    X = X * 1664525u + 1013904223u;
+    Words.push_back(X);
+  }
+  Words.push_back(0);
+  Words.push_back(0xFFFFFFFFu);
+  std::vector<uint8_t> Bytes;
+  for (uint32_t W : Words)
+    for (int Shift = 0; Shift != 32; Shift += 8)
+      Bytes.push_back(static_cast<uint8_t>(W >> Shift));
+  EXPECT_EQ(expandedWordsCrc(Words), crc32(Bytes.data(), Bytes.size()));
+  // Chained like crc32: the tail continues from the head's CRC.
+  EXPECT_EQ(crc32Words(Words.data() + 100, Words.size() - 100,
+                       crc32Words(Words.data(), 100)),
+            crc32(Bytes.data(), Bytes.size()));
+}
+
 TEST(Rewriter, RecoveryCopiesCanBeDisabled) {
   Pipeline P(callFromBufferProgram());
   P.profile({0});
@@ -522,7 +557,7 @@ TEST(Rewriter, RecoveryCopiesCanBeDisabled) {
   for (const auto &Words : SR.SP.RecoveryWords)
     EXPECT_TRUE(Words.empty());
   // The image still runs correctly without them.
-  SquashedRun R = runSquashed(SR.SP, {1});
+  SquashedRun R = runSquashed(SR.SP, {1}, FixtureBudget);
   EXPECT_EQ(R.Run.Status, RunStatus::Halted) << R.Run.FaultMessage;
   EXPECT_EQ(R.Run.ExitCode, 31u);
 }
@@ -563,7 +598,7 @@ TEST(Runtime, TraceRingKeepsNewestAndCountsDropsExactly) {
   ASSERT_FALSE(SR.Identity);
 
   // Reference run with a capacity no realistic trace reaches.
-  SquashedRun Full = runSquashed(SR.SP, {1}, 2'000'000'000ull, 1u << 20);
+  SquashedRun Full = runSquashed(SR.SP, {1}, FixtureBudget, 1u << 20);
   ASSERT_EQ(Full.Run.Status, RunStatus::Halted) << Full.Run.FaultMessage;
   ASSERT_EQ(Full.TraceDropped, 0u);
   ASSERT_GE(Full.Trace.size(), 4u);
@@ -572,7 +607,7 @@ TEST(Runtime, TraceRingKeepsNewestAndCountsDropsExactly) {
   // the drop counter is exact, and exactly the newest events survive in
   // oldest-first order.
   const uint32_t Cap = 3;
-  SquashedRun Ring = runSquashed(SR.SP, {1}, 2'000'000'000ull, Cap);
+  SquashedRun Ring = runSquashed(SR.SP, {1}, FixtureBudget, Cap);
   ASSERT_EQ(Ring.Run.Status, RunStatus::Halted);
   ASSERT_EQ(Ring.Trace.size(), Cap);
   EXPECT_EQ(Ring.TraceDropped, Full.Trace.size() - Cap);
@@ -588,7 +623,7 @@ TEST(Runtime, TraceRingKeepsNewestAndCountsDropsExactly) {
   }
 
   // An untraced run keeps no events at all.
-  SquashedRun Off = runSquashed(SR.SP, {1});
+  SquashedRun Off = runSquashed(SR.SP, {1}, FixtureBudget);
   EXPECT_TRUE(Off.Trace.empty());
   EXPECT_EQ(Off.TraceDropped, 0u);
 }

@@ -257,7 +257,27 @@ TEST(Machine, FaultOnWordAccessAtTopOfAddressSpace) {
   });
   EXPECT_EQ(R.Status, RunStatus::Fault);
   EXPECT_EQ(R.FaultMessage,
-            "out-of-bounds word load at 0x4294967292 (pc=0x1000)");
+            "out-of-bounds word load at 0xfffffffc (pc=0x1000)");
+}
+
+TEST(Machine, OutOfBoundsStoresAndByteAccessesNameTheAddress) {
+  RunResult Stw = runMain([](FunctionBuilder &F) {
+    F.stw(16, RegZero, -4);
+    F.halt();
+  });
+  EXPECT_EQ(Stw.FaultMessage,
+            "out-of-bounds word store at 0xfffffffc (pc=0x1000)");
+  RunResult Ldb = runMain([](FunctionBuilder &F) {
+    F.ldb(16, RegZero, -1);
+    F.halt();
+  });
+  EXPECT_EQ(Ldb.FaultMessage,
+            "out-of-bounds byte load at 0xffffffff (pc=0x1000)");
+  RunResult Stb = runMain([](FunctionBuilder &F) {
+    F.stb(16, RegZero, 0);
+    F.halt();
+  });
+  EXPECT_EQ(Stb.FaultMessage, "out-of-bounds byte store at 0x0 (pc=0x1000)");
 }
 
 TEST(Machine, FaultOnPcOutOfBounds) {

@@ -47,6 +47,11 @@ namespace {
 
 constexpr double Scale = 0.05;
 
+/// Instruction budget for the fixture's uncapped runs: about ten times
+/// the reference run, so a runtime regression that spins fails in well
+/// under a second instead of at the default limit.
+constexpr uint64_t RunBudget = 5'000'000;
+
 /// Compacted adpcm workload squashed at a theta where the timing input
 /// reaches compressed code, plus reference behaviour.
 struct Fixture {
@@ -62,7 +67,7 @@ struct Fixture {
     Training = profileImage(Baseline, W.ProfilingInput).take();
     SR = squashProgram(W.Prog, Training, options()).take();
     EXPECT_FALSE(SR.Identity);
-    Base = runSquashed(SR.SP, W.TimingInput);
+    Base = runSquashed(SR.SP, W.TimingInput, RunBudget);
     EXPECT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
   }
 
@@ -197,7 +202,7 @@ TEST(SpanScope, InertWhenTracingIsDisabled) {
 TEST(Tracing, DoesNotPerturbTheGuest) {
   Fixture &F = fixture();
   TelemetryGuard G(true, false);
-  SquashedRun Traced = runSquashed(F.SR.SP, F.W.TimingInput);
+  SquashedRun Traced = runSquashed(F.SR.SP, F.W.TimingInput, RunBudget);
   EXPECT_EQ(Traced.Run.Status, F.Base.Run.Status);
   EXPECT_EQ(Traced.Run.ExitCode, F.Base.Run.ExitCode);
   EXPECT_EQ(Traced.Run.Cycles, F.Base.Run.Cycles);
@@ -208,7 +213,7 @@ TEST(Tracing, DoesNotPerturbTheGuest) {
 TEST(Tracing, RuntimeSpansParentUnderTheRunRoot) {
   Fixture &F = fixture();
   TelemetryGuard G(true, false);
-  SquashedRun Run = runSquashed(F.SR.SP, F.W.TimingInput);
+  SquashedRun Run = runSquashed(F.SR.SP, F.W.TimingInput, RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted);
   std::vector<Span> Spans = SpanTracer::instance().snapshot();
 
@@ -239,7 +244,7 @@ TEST(Tracing, PrefetchFlowLinksLaunchWorkerAndConsumingFill) {
   SquashedProgram SP = F.SR.SP;
   SP.Opts.DecodeAhead = true;
   TelemetryGuard G(true, false);
-  SquashedRun Run = runSquashed(SP, F.W.TimingInput);
+  SquashedRun Run = runSquashed(SP, F.W.TimingInput, RunBudget);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Output, F.Base.Output);
   ASSERT_GT(Run.Runtime.PrefetchLaunches, 0u)
