@@ -9,15 +9,18 @@
 // score should be near zero) and once on the timing input B (cross — the
 // deliberately profile-cold codec modes show up as drift). The cross
 // monitor's live heat is then merged back into the training profile and
-// the workload re-squashed; rerunning on B measures how many charged trap
-// cycles the profile-feedback loop recovers. One metrics row per workload
-// goes to BENCH_drift.json.
+// the workload re-squashed (resquashWithLiveHeat, the recipe squash_tool
+// --resquash runs); rerunning on B measures how many charged trap cycles
+// the profile-feedback loop recovers. One metrics row per workload goes
+// to BENCH_drift.json.
+//
+// A gate: exits nonzero unless every workload's matched run scores exactly
+// 0 and its re-squash recovers trap cycles (recovered > 0).
 //
 //===----------------------------------------------------------------------===//
 
 #include "Harness.h"
 
-#include "sim/ProfileIO.h"
 #include "squash/DriftMonitor.h"
 
 using namespace bench;
@@ -43,6 +46,7 @@ int main() {
               "recovered");
 
   std::vector<BenchRow> Rows;
+  bool GateOk = true;
   for (auto &P : Suite) {
     Options Opts;
     Opts.Theta = ThetaMid;
@@ -59,30 +63,12 @@ int main() {
     DriftReport Cross = CrossMon.report();
     const uint64_t TrapCyclesBefore = CrossRun.Runtime.TrapCycles.sum();
 
-    // Profile feedback: weight the live heat so its instruction total
-    // matches the training profile's — enough to flip every monitored
-    // region decisively hot, without inflating the merged total (and with
-    // it the θ cold budget) past recognition.
-    const Profile LiveUnit = CrossMon.liveProfile(1.0);
-    const double Weight =
-        static_cast<double>(std::max<uint64_t>(P.Prof.TotalInstructions, 1)) /
-        static_cast<double>(
-            std::max<uint64_t>(LiveUnit.TotalInstructions, 1));
-    Expected<Profile> MergedOr =
-        mergeProfiles({P.Prof, CrossMon.liveProfile(Weight)});
-    Profile Merged = MergedOr.take();
-    // Keep the absolute cold budget θ·trainTotal and pin the frequency
-    // cutoff to the original squash's: the live heat should flip
-    // mispredicted regions hot, never reclassify hot blocks as cold
-    // (emptied low frequency classes would otherwise let the cutoff
-    // scan run further).
-    Options Opts2 = Opts;
-    Opts2.Theta = Opts.Theta *
-                  (static_cast<double>(P.Prof.TotalInstructions) /
-                   static_cast<double>(
-                       std::max<uint64_t>(Merged.TotalInstructions, 1)));
-    Opts2.ColdCutoffCap = SR.Cold.FrequencyCutoff;
-    SquashResult SR2 = squashProgram(P.W.Prog, Merged, Opts2).take();
+    // Profile feedback: the shared offline re-squash recipe merges the
+    // cross run's live heat into the training profile and re-squashes.
+    Profile Merged;
+    SquashResult SR2 =
+        resquashWithLiveHeat(P.W.Prog, P.Prof, SR, CrossMon, Opts, &Merged)
+            .take();
     DriftMonitor AfterMon(SR2.SP, Merged);
     SquashedRun AfterRun = monitoredRun(SR2.SP, P.W.TimingInput, AfterMon);
     const uint64_t TrapCyclesAfter = AfterRun.Runtime.TrapCycles.sum();
@@ -106,7 +92,6 @@ int main() {
     Reg.setCounter("drift.trap_cycles_before", TrapCyclesBefore);
     Reg.setCounter("drift.trap_cycles_after", TrapCyclesAfter);
     Reg.setGauge("drift.recovered_cycles", static_cast<double>(Recovered));
-    Reg.setGauge("drift.live_weight", Weight);
     Reg.setHistogram("drift.cross.trap_cycles_hist",
                      CrossRun.Runtime.TrapCycles);
     Rows.emplace_back(P.W.Name, Reg.toJson());
@@ -115,9 +100,20 @@ int main() {
                 P.W.Name.c_str(), Same.DriftScore, Cross.DriftScore,
                 Cross.TopKOverlap, (unsigned long long)TrapCyclesBefore,
                 (unsigned long long)TrapCyclesAfter, (long long)Recovered);
+    if (Same.DriftScore != 0.0 || Recovered <= 0) {
+      std::fprintf(stderr,
+                   "stat_drift: %s: sameScore %g (want 0), recovered %lld "
+                   "(want > 0)\n",
+                   P.W.Name.c_str(), Same.DriftScore, (long long)Recovered);
+      GateOk = false;
+    }
   }
 
   std::string Path = writeBenchJson("drift", Rows);
   std::printf("\nwrote %zu row(s) to %s\n", Rows.size(), Path.c_str());
+  if (!GateOk) {
+    std::fprintf(stderr, "stat_drift: gate failed\n");
+    return 1;
+  }
   return 0;
 }

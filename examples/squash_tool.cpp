@@ -15,7 +15,7 @@
 //               [--span-trace-out FILE] [--flight-record-out FILE]
 //               [--attrib-report]
 //               [--drift-report FILE] [--live-profile-out FILE]
-//               [--adapt N] [--drift-threshold X] [--probation-traps N]
+//               [--resquash]
 //               [--print-pipeline] [--stop-after=PASS] [--disable-pass=PASS]...
 //               [--help | -h]
 //
@@ -38,10 +38,10 @@
 // FILE may be "-" for stdout.
 //
 // Telemetry (DESIGN.md §18): --span-trace-out enables causal span tracing
-// for the whole invocation (pipeline passes, runtime traps, prefetch and
-// re-squash flows) and writes the snapshot as Chrome trace JSON with flow
-// arrows; --flight-record-out arms the crash flight recorder and writes
-// its postmortem dump (triggers + recent events + span snapshot) at exit;
+// for the whole invocation (pipeline passes, runtime traps, prefetch
+// flows) and writes the snapshot as Chrome trace JSON with flow arrows;
+// --flight-record-out arms the crash flight recorder and writes its
+// postmortem dump (triggers + recent events + span snapshot) at exit;
 // --attrib-report prints the cycle-attribution ledger of the verification
 // run.
 //
@@ -63,13 +63,11 @@
 // pass via Options::DisabledPasses — each disabled pass substitutes its
 // conservative fallback, so the result still runs.
 //
-// --adapt N serves N requests of the long verification input through the
-// multiversion ResquashController instead of the one-shot flow: drift
-// past --drift-threshold (default 0.25) triggers a background re-squash
-// that hot-swaps in, runs probation (--probation-traps), and rolls back
-// on regression. Per-request version/trap lines, the version-transition
-// event log, and the resquash.* counters are printed; --metrics-json /
-// --metrics-prom include them.
+// --resquash closes the profile-guided loop offline (DESIGN.md §15): the
+// verification run's live heat is merged into the training profile
+// (resquashWithLiveHeat), the program is re-squashed under the merged
+// profile, and the same input is run again; the trap cycles before and
+// after are printed.
 //
 //===----------------------------------------------------------------------===//
 
@@ -79,7 +77,6 @@
 #include "link/Layout.h"
 #include "sim/Machine.h"
 #include "sim/ProfileIO.h"
-#include "squash/Adaptive.h"
 #include "squash/DriftMonitor.h"
 #include "squash/Driver.h"
 #include "squash/Inspect.h"
@@ -177,9 +174,7 @@ struct Args {
   bool PrintPipeline = false;
   std::string StopAfter;
   std::vector<std::string> DisabledPasses; ///< Repeatable.
-  uint32_t AdaptRuns = 0; ///< --adapt N: serve N requests adaptively.
-  double DriftThreshold = 0.25;
-  uint32_t ProbationTraps = 64;
+  bool Resquash = false;
 };
 
 /// The --help text: every flag parseArgs accepts.
@@ -215,11 +210,9 @@ observability (FILE may be "-" for stdout):
   --attrib-report           print the cycle-attribution ledger
   --drift-report FILE       profile-drift report (JSON)
   --live-profile-out FILE   live heat as a loadable profile
-adaptive re-squash:
-  --adapt N                 serve N requests adaptively, >= 0
-  --drift-threshold X       drift that triggers a re-squash, >= 0
-                            (default 0.25)
-  --probation-traps N       probation length in traps, >= 0 (default 64)
+profile feedback:
+  --resquash                merge the verification run's live heat into
+                            the profile, re-squash, and run again
   --help, -h                print this text and exit
 )";
 
@@ -329,17 +322,8 @@ bool parseArgs(int Argc, char **Argv, Args &A) {
       A.DriftReportPath = Argv[++I];
     } else if (S == "--live-profile-out" && I + 1 < Argc) {
       A.LiveProfileOut = Argv[++I];
-    } else if (S == "--adapt" && I + 1 < Argc) {
-      if (!parseInt("--adapt", Argv[++I], 0, UINT32_MAX, A.AdaptRuns))
-        return false;
-    } else if (S == "--drift-threshold" && I + 1 < Argc) {
-      if (!parseReal("--drift-threshold", Argv[++I], 0.0, HUGE_VAL,
-                     A.DriftThreshold))
-        return false;
-    } else if (S == "--probation-traps" && I + 1 < Argc) {
-      if (!parseInt("--probation-traps", Argv[++I], 0, UINT32_MAX,
-                    A.ProbationTraps))
-        return false;
+    } else if (S == "--resquash") {
+      A.Resquash = true;
     } else if (S == "--trace-out" && I + 1 < Argc) {
       A.TraceOut = Argv[++I];
     } else if (S == "--trace-capacity" && I + 1 < Argc) {
@@ -548,80 +532,6 @@ int main(int Argc, char **Argv) {
     return writeTelemetry(A) ? 0 : 1;
   }
 
-  if (A.AdaptRuns > 0) {
-    // Adaptive serving: the controller owns the image. Each request runs
-    // against the pinned active version; drift past the threshold kicks
-    // off a background re-squash that hot-swaps in behind the epoch pin.
-    AdaptiveConfig Cfg;
-    Cfg.DriftThreshold = A.DriftThreshold;
-    Cfg.ProbationTraps = A.ProbationTraps;
-    // Demo programs trap a handful of times per request; let the drift
-    // threshold be the sole trigger gate rather than the entry-count one.
-    Cfg.MinEntriesForTrigger = 1;
-    Expected<std::unique_ptr<ResquashController>> COr =
-        ResquashController::create(Prog, Prof, Opts, Cfg);
-    if (!COr) {
-      std::fprintf(stderr, "%s\n", COr.status().toString().c_str());
-      return 1;
-    }
-    std::unique_ptr<ResquashController> C = COr.take();
-
-    // Serve the long input the one-shot path uses for verification: it
-    // exercises the cold path, so it drifts away from the training input.
-    std::vector<uint8_t> LongInput;
-    for (int I = 0; I != 400; ++I)
-      LongInput.push_back(static_cast<uint8_t>('A' + I % 23));
-    Machine M1(Baseline);
-    M1.setInput(LongInput);
-    RunResult R1 = M1.run();
-
-    bool Ok = R1.Status == RunStatus::Halted;
-    std::printf("serving %u request(s), drift threshold %g, probation %u "
-                "trap(s)\n",
-                A.AdaptRuns, Cfg.DriftThreshold, Cfg.ProbationTraps);
-    for (uint32_t I = 0; I != A.AdaptRuns; ++I) {
-      uint32_t V = C->activeVersion();
-      SquashedRun R = C->serve(LongInput);
-      Ok = Ok && R.Run.Status == RunStatus::Halted &&
-           R.Run.ExitCode == R1.ExitCode;
-      std::printf("  request %2u: version %u (%s), exit %u, %llu trap "
-                  "cycle(s), %llu decompression(s)\n",
-                  I, V, versionStateName(C->versionState(V)), R.Run.ExitCode,
-                  (unsigned long long)R.Runtime.TrapCycles.sum(),
-                  (unsigned long long)R.Runtime.Decompressions);
-    }
-    if (Status St = C->drain(120.0); !St.ok())
-      std::fprintf(stderr, "%s\n", St.toString().c_str());
-
-    std::printf("\nversion transitions:\n");
-    for (const AdaptiveEvent &E : C->events())
-      std::printf("  #%llu %s v%u\n", (unsigned long long)E.Seq,
-                  adaptiveEventKindName(E.K), E.Version);
-    const AdaptiveStats St = C->stats();
-    std::printf("\nresquash: %llu attempt(s), %llu publication(s), %llu "
-                "rollback(s), %llu failure(s); active version %u of %u -> "
-                "%s\n",
-                (unsigned long long)St.Attempts,
-                (unsigned long long)St.Publications,
-                (unsigned long long)St.Rollbacks,
-                (unsigned long long)St.Failures, C->activeVersion(),
-                C->versionCount(), Ok ? "OK" : "MISMATCH");
-
-    if (!A.MetricsJson.empty() || !A.MetricsProm.empty()) {
-      MetricsRegistry Reg;
-      C->exportMetrics(Reg);
-      if (!A.MetricsJson.empty() &&
-          !writeTextFile(A.MetricsJson, Reg.toJson() + "\n"))
-        return 1;
-      if (!A.MetricsProm.empty() &&
-          !writeTextFile(A.MetricsProm, Reg.toPrometheus()))
-        return 1;
-    }
-    if (!writeTelemetry(A))
-      return 1;
-    return Ok ? 0 : 1;
-  }
-
   Expected<SquashResult> SROr = squashProgram(Prog, Prof, Opts);
   if (!SROr) {
     std::fprintf(stderr, "squash failed: %s\n",
@@ -686,7 +596,8 @@ int main(int Argc, char **Argv) {
   M1.setInput(LongInput);
   RunResult R1 = M1.run();
   bool WantTrace = !A.TraceOut.empty();
-  bool WantDrift = !A.DriftReportPath.empty() || !A.LiveProfileOut.empty();
+  bool WantDrift = !A.DriftReportPath.empty() || !A.LiveProfileOut.empty() ||
+                   A.Resquash;
   DriftMonitor Mon(SR.SP, Prof);
   SquashedRun R2 = runSquashed(SR.SP, LongInput, 2'000'000'000ull,
                                WantTrace ? A.TraceCapacity : 0,
@@ -745,6 +656,24 @@ int main(int Argc, char **Argv) {
       }
       std::printf("live profile saved to %s\n", A.LiveProfileOut.c_str());
     }
+  }
+  if (A.Resquash) {
+    Expected<SquashResult> SR2Or =
+        resquashWithLiveHeat(Prog, Prof, SR, Mon, Opts);
+    if (!SR2Or) {
+      std::fprintf(stderr, "%s\n", SR2Or.status().toString().c_str());
+      return 1;
+    }
+    SquashedRun R3 = runSquashed(SR2Or.get().SP, LongInput);
+    Ok = Ok && R3.Run.Status == RunStatus::Halted &&
+         R3.Run.ExitCode == R1.ExitCode;
+    std::printf("resquash: trap cycles %llu before, %llu after "
+                "(%llu -> %llu decompressions) -> %s\n",
+                (unsigned long long)R2.Runtime.TrapCycles.sum(),
+                (unsigned long long)R3.Runtime.TrapCycles.sum(),
+                (unsigned long long)R2.Runtime.Decompressions,
+                (unsigned long long)R3.Runtime.Decompressions,
+                Ok ? "OK" : "MISMATCH");
   }
   if (!A.MetricsJson.empty() || !A.MetricsProm.empty()) {
     MetricsRegistry Reg;

@@ -169,9 +169,8 @@ size_t FastTables::tableBytes() const {
 
 // One global lock: builds are rare (first attach per program) and the
 // memo must stay copyable with the codec, which rules out a member
-// mutex. Concurrent attaches of the same pinned program (Adaptive's
-// serve threads) synchronize here, as do the codec's copy/move special
-// members below.
+// mutex. Concurrent attaches of the same program synchronize here, as do
+// the codec's copy/move special members below.
 static std::mutex MemoMutex;
 
 std::shared_ptr<const FastTables> StreamCodecs::fastTables(unsigned Bits) const {
@@ -183,9 +182,8 @@ std::shared_ptr<const FastTables> StreamCodecs::fastTables(unsigned Bits) const 
 }
 
 // A copied codec never inherits the source's decoder tables: the copy is
-// the staging ground for mutation (adaptive re-squash, fault injection),
-// and tables reused by pointer would go stale the moment the codes
-// diverge. Starting from an empty memo forces a rebuild on first use.
+// the staging ground for mutation (fault injection), and tables reused by
+// pointer would go stale the moment the codes diverge. Starting from an empty memo forces a rebuild on first use.
 StreamCodecs::StreamCodecs(const StreamCodecs &Other)
     : Codes(Other.Codes), Stats(Other.Stats) {}
 

@@ -52,9 +52,8 @@ public:
   /// the module-wide memo mutex (huff/FastDecoder.cpp). The
   /// compiler-generated copy would read it without the lock (a race
   /// against a concurrent fastTables() build) and would alias the
-  /// published tables between two codecs whose codes can then diverge —
-  /// exactly the stale-table hazard of an adaptive hot-swap mutating a
-  /// copied codec. A copy therefore starts with an empty memo and builds
+  /// published tables between two codecs whose codes can then diverge
+  /// (a copied codec mutated by fault injection, say). A copy therefore starts with an empty memo and builds
   /// fresh tables on first use; a move hands the memo over under the lock.
   StreamCodecs(const StreamCodecs &Other);
   StreamCodecs &operator=(const StreamCodecs &Other);

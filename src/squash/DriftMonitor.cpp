@@ -7,6 +7,8 @@
 
 #include "squash/DriftMonitor.h"
 
+#include "sim/ProfileIO.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -66,20 +68,6 @@ void DriftMonitor::onRegionEntry(uint32_t Region, bool Filled,
   }
   Cycles[Region] += ChargedCycles;
   TotalCycles += ChargedCycles;
-}
-
-void DriftMonitor::absorb(const DriftMonitor &Other) {
-  if (Other.Entries.size() != Entries.size())
-    return;
-  for (size_t I = 0; I != Entries.size(); ++I) {
-    Entries[I] += Other.Entries[I];
-    Fills[I] += Other.Fills[I];
-    Cycles[I] += Other.Cycles[I];
-  }
-  TotalEntries += Other.TotalEntries;
-  TotalRestores += Other.TotalRestores;
-  TotalFills += Other.TotalFills;
-  TotalCycles += Other.TotalCycles;
 }
 
 void DriftMonitor::reset() {
@@ -266,4 +254,36 @@ void DriftReport::exportMetrics(MetricsRegistry &R,
   R.setGauge(Prefix + "score", DriftScore);
   R.setGauge(Prefix + "top_k_overlap", TopKOverlap);
   R.setGauge(Prefix + "normalized_cross_entropy", NormalizedCrossEntropy);
+}
+
+Expected<SquashResult>
+squash::resquashWithLiveHeat(const Program &Pristine, const Profile &Training,
+                             const SquashResult &Prior, const DriftMonitor &Mon,
+                             const Options &Opts, Profile *MergedOut) {
+  const Profile LiveUnit = Mon.liveProfile(1.0);
+  if (LiveUnit.TotalInstructions == 0)
+    return Status::error(StatusCode::InvalidArgument,
+                         "resquash: no live heat to merge");
+  const double TrainTotal =
+      static_cast<double>(std::max<uint64_t>(Training.TotalInstructions, 1));
+  Expected<Profile> ScaledOr = scaleProfile(
+      LiveUnit, TrainTotal / static_cast<double>(LiveUnit.TotalInstructions));
+  if (!ScaledOr)
+    return Status(ScaledOr.status()).context("resquash: scale live profile");
+  Expected<Profile> MergedOr = mergeProfiles({Training, ScaledOr.get()});
+  if (!MergedOr)
+    return Status(MergedOr.status()).context("resquash: merge profiles");
+  Profile Merged = std::move(MergedOr.get());
+
+  Options Resquash = Opts;
+  Resquash.Theta =
+      (Opts.Theta * TrainTotal) /
+      static_cast<double>(std::max<uint64_t>(Merged.TotalInstructions, 1));
+  Resquash.ColdCutoffCap = Prior.Cold.FrequencyCutoff;
+  Expected<SquashResult> SROr = squashProgram(Pristine, Merged, Resquash);
+  if (!SROr)
+    return Status(SROr.status()).context("resquash: pipeline");
+  if (MergedOut)
+    *MergedOut = std::move(Merged);
+  return SROr;
 }

@@ -31,10 +31,11 @@
 ///
 /// Beyond the report, the monitor exports its heat as a block-level
 /// sim::Profile (each region entry credits every block of the region with
-/// one execution). That profile merges with the training profile via
-/// mergeProfiles, and re-squashing under the merged profile de-compresses
-/// the mispredicted-cold code — closing the paper's profile-guided loop
-/// end to end (bench/stat_drift measures the recovered trap cycles).
+/// one execution). resquashWithLiveHeat merges that profile with the
+/// training profile and re-squashes under the result, de-compressing the
+/// mispredicted-cold code — closing the paper's profile-guided loop
+/// offline, end to end (bench/stat_drift measures the recovered trap
+/// cycles; squash_tool --resquash runs it from the command line).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,6 +43,7 @@
 #define SQUASH_SQUASH_DRIFTMONITOR_H
 
 #include "sim/Machine.h"
+#include "squash/Driver.h"
 #include "squash/Runtime.h"
 #include "support/Metrics.h"
 
@@ -109,14 +111,6 @@ public:
   /// Forgets all accumulated live heat (training heat is kept).
   void reset();
 
-  /// Folds \p Other's accumulated live heat into this monitor. The two
-  /// must observe the same squashed program (same region count); a
-  /// mismatch is ignored rather than corrupting the accumulation. This is
-  /// how squash/Adaptive aggregates per-request scratch monitors into one
-  /// per-version monitor under its own lock, keeping onRegionEntry free of
-  /// cross-thread traffic.
-  void absorb(const DriftMonitor &Other);
-
   DriftReport report() const;
 
   /// The report as one deterministic JSON object: identical inputs produce
@@ -150,6 +144,25 @@ private:
   uint64_t TotalFills = 0;
   uint64_t TotalCycles = 0;
 };
+
+/// The offline re-squash recipe (DESIGN.md §15): re-squashes \p Pristine
+/// (the compacted program \p Prior was built from) under \p Training —
+/// the profile \p Prior was squashed under — merged with the live heat
+/// \p Mon observed on runs of Prior.SP. The live heat is weighted to the
+/// training profile's instruction total (via the hardened scaleProfile),
+/// enough to flip every monitored region decisively hot without inflating
+/// the merged total past recognition. Theta is rescaled so the absolute
+/// cold budget theta * (training total) of \p Opts is kept, and the cold
+/// frequency cutoff is pinned to Prior's: live heat flips mispredicted
+/// regions hot and never reclassifies hot blocks as cold. \p MergedOut,
+/// when non-null, receives the merged profile (the one a DriftMonitor over
+/// the new image compares against). Fails with InvalidArgument when \p Mon
+/// saw no region entry, and with the scale, merge or pipeline error
+/// otherwise.
+vea::Expected<SquashResult>
+resquashWithLiveHeat(const vea::Program &Pristine, const vea::Profile &Training,
+                     const SquashResult &Prior, const DriftMonitor &Mon,
+                     const Options &Opts, vea::Profile *MergedOut = nullptr);
 
 } // namespace squash
 

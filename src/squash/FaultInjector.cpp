@@ -39,8 +39,6 @@ const char *squash::faultKindName(FaultKind K) {
     return "staging-corrupt";
   case FaultKind::PublishOffsetSkew:
     return "publish-offset-skew";
-  case FaultKind::EpochPinLeak:
-    return "epoch-pin-leak";
   case FaultKind::PrefetchSlotCorrupt:
     return "prefetch-slot-corrupt";
   case FaultKind::DecodeTableTruncated:
@@ -209,7 +207,7 @@ std::optional<FaultReport> FaultInjector::inject(SquashedProgram &SP,
   case FaultKind::StagingCorrupt: {
     // One bit anywhere in the checksummed content: the immutable prefix
     // [Base, StubAreaBase) covered by ImageCrc32, or the blob covered by
-    // BlobCrc32. CRC-validated staging must reject the image either way.
+    // BlobCrc32. The CRC checks must reject the image either way.
     uint64_t PrefixBits = 8ull * (L.StubAreaBase - Img.Base);
     uint64_t TotalBits = PrefixBits + 8ull * L.BlobBytes;
     if (TotalBits == 0)
@@ -239,8 +237,7 @@ std::optional<FaultReport> FaultInjector::inject(SquashedProgram &SP,
     // Refresh the prefix checksum: the offset table lies inside the
     // CRC-covered prefix, so without this the fault would collapse into
     // StagingCorrupt. With it, only the table-vs-metadata cross-check
-    // (publication gate, attach validation, or the lazy fill check) sees
-    // the skew.
+    // (attach validation or the lazy fill check) sees the skew.
     L.ImageCrc32 =
         vea::crc32(Img.Bytes.data(), L.StubAreaBase - Img.Base);
     return report(K, Addr,
@@ -248,12 +245,6 @@ std::optional<FaultReport> FaultInjector::inject(SquashedProgram &SP,
                       " skewed (" + std::to_string(Old) + " -> " +
                       std::to_string(New) + ") with image CRC refreshed");
   }
-
-  case FaultKind::EpochPinLeak:
-    // A retirement fault, not an image fault: armed on the controller
-    // (ResquashController::armEpochPinLeak), which then "forgets" to
-    // unpin a served version.
-    return std::nullopt;
 
   case FaultKind::PrefetchSlotCorrupt: {
     // Host-memory fault in the decode-ahead staging buffer. Armed rather

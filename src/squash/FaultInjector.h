@@ -43,18 +43,13 @@ enum class FaultKind : uint8_t {
   NCCodeBitFlip,    ///< Flip one bit of never-compressed code / stubs.
   SlotMapEntry,     ///< Corrupt one decode-cache slot-map word.
   StagingCorrupt,   ///< Flip one bit of CRC-covered content (image prefix
-                    ///< or blob) without fixing the checksums: the model
-                    ///< of a staged re-squash image damaged in flight,
-                    ///< caught by CRC-validated staging.
+                    ///< or blob) without fixing the checksums: an image
+                    ///< damaged between build and attach, caught by the
+                    ///< attach-time or per-fill CRC checks.
   PublishOffsetSkew,///< Skew one offset-table word and *refresh* the image
-                    ///< CRC so integrity checks pass; only the
-                    ///< publication-time cross-check of the table against
-                    ///< the region metadata (or the lazy fill check) can
-                    ///< catch it.
-  EpochPinLeak,     ///< Leak an epoch pin so a retired version can never
-                    ///< drain. Not an image mutation — inject() reports it
-                    ///< inapplicable; the adaptive sweep arms it through
-                    ///< ResquashController::armEpochPinLeak().
+                    ///< CRC so integrity checks pass; only the attach-time
+                    ///< cross-check of the table against the region
+                    ///< metadata (or the lazy fill check) can catch it.
   PrefetchSlotCorrupt, ///< Arm a bit flip in a decode-ahead staging buffer
                        ///< (SquashedProgram::ArmPrefetchCorrupt): the Nth
                        ///< consumed prefetch is corrupted before its CRC

@@ -406,12 +406,11 @@ RuntimeSystem::decodeRegionWords(uint32_t Region, const uint8_t *Mem,
   return DecodeOutcome::Ok;
 }
 
-bool RuntimeSystem::memoHit(const Machine &M, uint32_t Region,
-                            std::vector<uint32_t> &Words, uint64_t &Decoded,
-                            DecodeWork &Work) const {
+const RuntimeSystem::MemoEntry *
+RuntimeSystem::memoLookup(const Machine &M, uint32_t Region) const {
   const MemoEntry &E = Memo[Region];
   if (E.Bits.empty())
-    return false;
+    return nullptr;
   // The decode is a deterministic function of the bits it consumed, and
   // the memoized words already passed the CRC check; any change to those
   // bytes (self-modifying guest, injected fault) sends the fill back
@@ -419,10 +418,19 @@ bool RuntimeSystem::memoHit(const Machine &M, uint32_t Region,
   const uint8_t *Span =
       M.memData() + SP.Layout.BlobBase + SP.Regions[Region].BitOffset / 8;
   if (std::memcmp(Span, E.Bits.data(), E.Bits.size()) != 0)
+    return nullptr;
+  return &E;
+}
+
+bool RuntimeSystem::memoHit(const Machine &M, uint32_t Region,
+                            std::vector<uint32_t> &Words, uint64_t &Decoded,
+                            DecodeWork &Work) const {
+  const MemoEntry *E = memoLookup(M, Region);
+  if (!E)
     return false;
-  Words = E.Words;
-  Decoded = E.Decoded;
-  Work = E.Work;
+  Words = E->Words;
+  Decoded = E->Decoded;
+  Work = E->Work;
   return true;
 }
 
@@ -445,8 +453,10 @@ bool RuntimeSystem::consumePrefetch(Machine &M, uint32_t Region,
   const uint32_t Staged = static_cast<uint32_t>(PF.Region);
   PF.Region = -1;
   PF.Ready.store(false, std::memory_order_relaxed);
-  St.HostDecodeNanos += PF.Nanos;
-  ++St.RegionDecodes;
+  if (PF.Ran) {
+    St.HostDecodeNanos += PF.Nanos;
+    ++St.RegionDecodes;
+  }
   if (Staged != Region || !PF.Ok) {
     ++St.PrefetchWasted;
     record(M, Event::Kind::PrefetchDrop, Staged);
@@ -480,12 +490,11 @@ void RuntimeSystem::launchPrefetch(Machine &M) {
     return;
   if (cacheActive() && SlotOfRegion[P] >= 0)
     return; // Already resident: the fill would be a cache hit anyway.
-  if (!PFPool)
-    PFPool = std::make_unique<vea::ThreadPool>(1);
   PF.Region = P;
   PF.Ok = false;
   PF.Decoded = 0;
   PF.Nanos = 0;
+  PF.Ran = false;
   PF.FlowId = SpanTracer::enabled() ? SpanTracer::instance().nextId() : 0;
   PF.Ready.store(false, std::memory_order_relaxed);
   ++St.PrefetchLaunches;
@@ -495,6 +504,19 @@ void RuntimeSystem::launchPrefetch(Machine &M) {
     Launch.setFlow(0, PF.FlowId);
     Launch.setArgs(static_cast<uint32_t>(P), 0);
   }
+  // A region whose memoized decode still matches the blob needs no worker:
+  // stage a copy (an armed staging fault then flips the copy, never the
+  // memo) and mark it ready at once.
+  if (const MemoEntry *E = memoLookup(M, static_cast<uint32_t>(P))) {
+    PF.Words = E->Words;
+    PF.Decoded = E->Decoded;
+    PF.Ok = true;
+    PF.Ready.store(true, std::memory_order_relaxed);
+    return;
+  }
+  if (!PFPool)
+    PFPool = std::make_unique<vea::ThreadPool>(1);
+  PF.Ran = true;
   // The worker reads only the compressed blob (guest code never writes
   // it), the immutable codec tables, and the PrefetchState fields it owns
   // until the release-store of Ready. It writes nothing to guest memory.

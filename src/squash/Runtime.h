@@ -144,8 +144,9 @@ public:
   struct Stats {
     uint64_t Decompressions = 0;       ///< Region fills.
     uint64_t RegionDecodes = 0; ///< Host decodes actually run: demand
-                                ///< decodes plus consumed staged ones
-                                ///< (decode-memo hits run none).
+                                ///< decodes plus consumed worker decodes
+                                ///< (decode-memo hits and memo-staged
+                                ///< prefetches run none).
     uint64_t DecodedInstructions = 0;  ///< Instructions decoded into buffer.
     uint64_t EntryStubCalls = 0;       ///< Decompress from an entry stub.
     uint64_t RestoreStubCalls = 0;     ///< Decompress from a restore stub.
@@ -357,8 +358,11 @@ private:
                                   uint64_t &Decoded,
                                   DecodeWork *WorkOut = nullptr,
                                   size_t *EndBitOut = nullptr) const;
-  /// Serves a demand fill of \p Region from the decode memo when the blob
-  /// bytes its memoized decode consumed are still byte-identical in \p M.
+  struct MemoEntry;
+  /// The memo entry of \p Region when the blob bytes its decode consumed
+  /// are still byte-identical in \p M; null otherwise.
+  const MemoEntry *memoLookup(const vea::Machine &M, uint32_t Region) const;
+  /// Serves a demand fill of \p Region from the decode memo (memoLookup).
   bool memoHit(const vea::Machine &M, uint32_t Region,
                std::vector<uint32_t> &Words, uint64_t &Decoded,
                DecodeWork &Work) const;
@@ -369,9 +373,10 @@ private:
   /// what the guest observes.
   bool consumePrefetch(vea::Machine &M, uint32_t Region,
                        std::vector<uint32_t> &Words, uint64_t &Decoded);
-  /// Predicts the next region and stages its decode on the worker thread
-  /// (no-op when DecodeAhead is off, the worker is busy, or the prediction
-  /// is already resident).
+  /// Predicts the next region and stages its decode: a copy of its memo
+  /// entry when that still matches the blob, a decode on the worker thread
+  /// otherwise (no-op when DecodeAhead is off, a staging is pending, or the
+  /// prediction is already resident).
   void launchPrefetch(vea::Machine &M);
 
   /// The decode cache serves resident regions without re-decoding only in
@@ -414,6 +419,7 @@ private:
     std::vector<uint32_t> Words;
     uint64_t Decoded = 0;
     uint64_t Nanos = 0; ///< Host wall-clock the staged decode took.
+    bool Ran = false;   ///< A worker decode ran (false: a memo copy).
     uint64_t FlowId = 0; ///< Span flow id linking launch → worker →
                          ///< consume (written by the trap thread before
                          ///< the worker is enqueued).

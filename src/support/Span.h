@@ -10,9 +10,9 @@
 /// always-on crash/fault flight recorder built on top of it.
 ///
 /// A Span is a named interval with a parent (same-thread causality), an
-/// optional flow id (cross-thread causality: prefetch worker, re-squash
-/// ThreadPool), and dual timestamps — wall-clock nanoseconds for host-side
-/// work and simulated Machine cycles for guest-side work. Spans are pushed
+/// optional flow id (cross-thread causality: the decode-ahead worker), and
+/// dual timestamps — wall-clock nanoseconds for host-side work and
+/// simulated Machine cycles for guest-side work. Spans are pushed
 /// into per-thread single-producer rings whose slots are seqlocks: the
 /// writer never blocks, concurrent snapshot readers detect and skip torn
 /// slots, and every access is an atomic load/store so the scheme is clean

@@ -40,8 +40,6 @@ const char *vea::statusCodeName(StatusCode Code) {
     return "encoding error";
   case StatusCode::ResourceExhausted:
     return "resource exhausted";
-  case StatusCode::DeadlineExceeded:
-    return "deadline exceeded";
   case StatusCode::RuntimeFault:
     return "runtime fault";
   case StatusCode::InternalError:

@@ -43,7 +43,6 @@ enum class StatusCode : uint8_t {
   LayoutError,       ///< Address/displacement could not be encoded.
   EncodingError,     ///< Compression-side encoding failure.
   ResourceExhausted, ///< A fixed-capacity runtime structure overflowed.
-  DeadlineExceeded,  ///< Background work overran its watchdog timeout.
   RuntimeFault,      ///< Simulated execution faulted.
   InternalError,     ///< Invariant violation inside the library.
 };

@@ -8,7 +8,6 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <chrono>
 
 using namespace vea;
 
@@ -41,13 +40,6 @@ void ThreadPool::enqueue(std::function<void()> Task) {
 void ThreadPool::wait() {
   std::unique_lock<std::mutex> Lock(Mutex);
   AllDone.wait(Lock, [this] { return Tasks.empty() && Running == 0; });
-}
-
-bool ThreadPool::waitFor(double Seconds) {
-  std::unique_lock<std::mutex> Lock(Mutex);
-  return AllDone.wait_for(
-      Lock, std::chrono::duration<double>(std::max(Seconds, 0.0)),
-      [this] { return Tasks.empty() && Running == 0; });
 }
 
 void ThreadPool::workerLoop() {

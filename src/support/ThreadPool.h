@@ -6,10 +6,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool for host-side background work: the
-/// runtime's decode-ahead worker and the adaptive controller's background
-/// re-squash. Callers enqueue tasks and wait for them to drain (with or
-/// without a deadline). Tasks must not throw.
+/// A small fixed-size thread pool for host-side background work; its one
+/// user is the runtime's decode-ahead worker. Callers enqueue tasks and
+/// wait for them to drain. Tasks must not throw.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,12 +42,6 @@ public:
 
   /// Blocks until every enqueued task has finished.
   void wait();
-
-  /// Blocks until every enqueued task has finished or \p Seconds elapse.
-  /// Returns true when the pool drained, false on timeout (tasks keep
-  /// running; callers that must not use their results anymore invalidate
-  /// them on their side — see squash/Adaptive's generation counter).
-  bool waitFor(double Seconds);
 
 private:
   void workerLoop();

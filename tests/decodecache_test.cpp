@@ -655,6 +655,19 @@ TEST(DecodeMemo, ThrashRunsOneDecodePerRegion) {
     EXPECT_EQ(Paper.Runtime.RegionDecodes, 4u) << "FastDecode " << Fast;
   }
 
+  // With decode-ahead: a predicted region whose memo entry still matches
+  // the blob is staged from a copy of the memo, not decoded again.
+  {
+    SquashedProgram SP = paperModeThrash(S);
+    SP.Opts.DecodeAhead = true;
+    SquashedRun Ahead = runSquashed(SP, {1}, ThrashBudget);
+    ASSERT_EQ(Ahead.Run.Status, RunStatus::Halted) << Ahead.Run.FaultMessage;
+    EXPECT_EQ(Ahead.Output, S.BaseOut);
+    EXPECT_EQ(Ahead.Runtime.Decompressions, 7 * Reps);
+    EXPECT_GT(Ahead.Runtime.PrefetchHits, 0u);
+    EXPECT_LE(Ahead.Runtime.RegionDecodes, 4u) << "DecodeAhead";
+  }
+
   // With the cache active, at every slot count.
   for (uint32_t Slots = 1; Slots != 5; ++Slots) {
     SquashedRun Run = runAndCheck(squashThrash(Slots, /*DirectStubs=*/false));

@@ -298,6 +298,42 @@ TEST(FastDecode, TablesAreMemoizedAndWidthClamped) {
   EXPECT_EQ(SC.fastTables(0)->bits(), FastTables::MinBits);
 }
 
+// The memoized FastTables are keyed to one StreamCodecs instance; a copied
+// codec must rebuild its own tables instead of aliasing the source's — a
+// stale shared table set would decode another image's blob with the old
+// image's codes.
+TEST(FastDecode, CopiedCodecsRebuildFastTablesInsteadOfSharing) {
+  Rng R(4242);
+  std::vector<std::vector<MInst>> Corpus(8);
+  for (auto &Region : Corpus)
+    for (size_t I = 0; I != 60; ++I)
+      Region.push_back(randomInst(R));
+  StreamCodecs SC = StreamCodecs::build(Corpus);
+
+  std::shared_ptr<const FastTables> Orig = SC.fastTables(11);
+  ASSERT_NE(Orig, nullptr);
+  // Repeat lookups on the same instance share the memo.
+  EXPECT_EQ(SC.fastTables(11).get(), Orig.get());
+
+  // A copy starts with an empty memo: its tables are its own.
+  StreamCodecs Copy(SC);
+  std::shared_ptr<const FastTables> CopyTables = Copy.fastTables(11);
+  ASSERT_NE(CopyTables, nullptr);
+  EXPECT_NE(CopyTables.get(), Orig.get())
+      << "copied codec aliased the source's fast tables";
+
+  // Copy-assignment over an instance with a populated memo drops it too.
+  StreamCodecs Assigned = StreamCodecs::build(Corpus);
+  (void)Assigned.fastTables(11);
+  Assigned = SC;
+  EXPECT_NE(Assigned.fastTables(11).get(), Orig.get())
+      << "copy-assigned codec kept a stale memo";
+
+  // A move transfers the memo with the identity: no rebuild.
+  StreamCodecs Moved(std::move(Copy));
+  EXPECT_EQ(Moved.fastTables(11).get(), CopyTables.get());
+}
+
 // The batch surface must be observationally identical to a next() loop at
 // every chunk size — including chunks that land mid-region, on the
 // sentinel, and past it — and on truncated streams.

@@ -493,162 +493,3 @@ TEST(FaultInjection, PrefetchCorruptRequiresDecodeAhead) {
   EXPECT_FALSE(FI.inject(SP, FaultKind::PrefetchSlotCorrupt).has_value());
   EXPECT_EQ(SP.ArmPrefetchCorrupt, 0u);
 }
-
-//===----------------------------------------------------------------------===//
-// Adaptive swap-path sweep: the same never-crash contract for the online
-// re-squash pipeline. A fault injected into a *staged* image must die at
-// the staging CRC gate; one that forges consistent checksums must die at
-// the publication cross-check; a leaked epoch pin must wedge retirement
-// loudly instead of freeing pinned memory. In every case the controller
-// keeps serving byte-identical output.
-//===----------------------------------------------------------------------===//
-
-#include "squash/Adaptive.h"
-
-namespace {
-
-/// Shared inputs for the adaptive sweeps: the compacted program, its
-/// training profile, and the reference behaviour on the timing input.
-struct AdaptiveFixture {
-  workloads::Workload W;
-  Profile Training;
-  SquashedRun Base;
-
-  AdaptiveFixture() {
-    W = buildByIndex(0);
-    compactProgram(W.Prog).take();
-    Image Baseline = layoutProgram(W.Prog);
-    Training = profileImage(Baseline, W.ProfilingInput).take();
-    Options Opts;
-    Opts.Theta = 0.1;
-    SquashResult SR = squashProgram(W.Prog, Training, Opts).take();
-    Base = runSquashed(SR.SP, W.TimingInput, ReferenceBudget);
-    EXPECT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
-  }
-
-  AdaptiveConfig config() const {
-    AdaptiveConfig Cfg;
-    Cfg.DriftThreshold = 0.0; // Any live evidence triggers.
-    Cfg.MinEntriesForTrigger = 1;
-    Cfg.ProbationRuns = 1;
-    Cfg.ProbationTraps = UINT32_MAX;
-    Cfg.RegressionTolerance = 1e9; // Deterministic commit, never rollback.
-    Cfg.MaxAttempts = 1;
-    Cfg.RetireTimeoutSeconds = 0.0; // Wedges report immediately.
-    return Cfg;
-  }
-
-  std::unique_ptr<ResquashController> controller(AdaptiveConfig Cfg) const {
-    Options Opts;
-    Opts.Theta = 0.1;
-    return ResquashController::create(W.Prog, Training, Opts, std::move(Cfg))
-        .take();
-  }
-
-  void expectReferenceRun(const SquashedRun &Run) const {
-    ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
-    EXPECT_EQ(Run.Run.ExitCode, Base.Run.ExitCode);
-    EXPECT_EQ(Run.Output, Base.Output);
-  }
-};
-
-} // namespace
-
-// A staged image corrupted in flight must be rejected by the CRC gate:
-// no publication, no new version, service untouched.
-TEST(AdaptiveFaultSweep, StagingCorruptionRejectedAtCrcGate) {
-  AdaptiveFixture Fx;
-  for (uint64_t Seed = 0; Seed != 8; ++Seed) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    AdaptiveConfig Cfg = Fx.config();
-    FaultInjector FI(101 + Seed * 2654435761ull);
-    bool Applied = false;
-    Cfg.StageHook = [&](SquashedProgram &SP) {
-      Applied = FI.inject(SP, FaultKind::StagingCorrupt).has_value();
-    };
-    std::unique_ptr<ResquashController> C = Fx.controller(std::move(Cfg));
-
-    Fx.expectReferenceRun(C->serve(Fx.W.TimingInput)); // Triggers.
-    ASSERT_TRUE(C->drain(30.0).ok());
-    ASSERT_TRUE(Applied);
-
-    AdaptiveStats St = C->stats();
-    EXPECT_EQ(St.Attempts, 1u);
-    EXPECT_EQ(St.StagingRejects, 1u);
-    EXPECT_EQ(St.Publications, 0u);
-    EXPECT_EQ(C->activeVersion(), 0u);
-    EXPECT_EQ(C->versionCount(), 1u);
-    Status Err = C->lastError();
-    EXPECT_TRUE(Err.code() == StatusCode::CorruptBlob ||
-                Err.code() == StatusCode::MalformedImage)
-        << Err.toString();
-    Fx.expectReferenceRun(C->serve(Fx.W.TimingInput)); // Still serves.
-  }
-}
-
-// A fault that forges consistent checksums (offset table skew + CRC
-// refresh) must pass staging but die at the publication cross-check.
-TEST(AdaptiveFaultSweep, OffsetSkewRejectedAtPublicationGate) {
-  AdaptiveFixture Fx;
-  for (uint64_t Seed = 0; Seed != 8; ++Seed) {
-    SCOPED_TRACE("seed " + std::to_string(Seed));
-    AdaptiveConfig Cfg = Fx.config();
-    FaultInjector FI(211 + Seed * 2654435761ull);
-    bool Applied = false;
-    Cfg.StageHook = [&](SquashedProgram &SP) {
-      Applied = FI.inject(SP, FaultKind::PublishOffsetSkew).has_value();
-    };
-    std::unique_ptr<ResquashController> C = Fx.controller(std::move(Cfg));
-
-    Fx.expectReferenceRun(C->serve(Fx.W.TimingInput)); // Triggers.
-    ASSERT_TRUE(C->drain(30.0).ok()); // Stages, then poll() tries to publish.
-    ASSERT_TRUE(Applied);
-
-    AdaptiveStats St = C->stats();
-    EXPECT_EQ(St.Attempts, 1u);
-    EXPECT_EQ(St.StagingRejects, 0u) << "skew was caught too early: the "
-                                        "CRC refresh failed";
-    EXPECT_EQ(St.PublishRejects, 1u);
-    EXPECT_EQ(St.Publications, 0u);
-    EXPECT_EQ(C->activeVersion(), 0u);
-    EXPECT_EQ(C->versionCount(), 1u);
-    EXPECT_FALSE(C->hasStaged());
-    Status Err = C->lastError();
-    EXPECT_TRUE(Err.code() == StatusCode::CorruptOffsetTable ||
-                Err.code() == StatusCode::MalformedImage)
-        << Err.toString();
-    Fx.expectReferenceRun(C->serve(Fx.W.TimingInput)); // Still serves.
-  }
-}
-
-// A request that dies holding its epoch pin must wedge the pinned
-// version's retirement — reported via Status and counters, never freed
-// under the pin, never a use-after-free.
-TEST(AdaptiveFaultSweep, LeakedEpochPinWedgesRetirementLoudly) {
-  AdaptiveFixture Fx;
-  std::unique_ptr<ResquashController> C = Fx.controller(Fx.config());
-
-  C->armEpochPinLeak();
-  Fx.expectReferenceRun(C->serve(Fx.W.TimingInput)); // Leaks v0's pin.
-  ASSERT_TRUE(C->drain(30.0).ok()); // Re-squash lands; poll publishes v1.
-  ASSERT_EQ(C->activeVersion(), 1u);
-  ASSERT_EQ(C->versionState(1), VersionState::Probation);
-
-  // Probation (1 run) commits v1; v0 retires but can never drain.
-  Fx.expectReferenceRun(C->serve(Fx.W.TimingInput));
-  EXPECT_EQ(C->versionState(1), VersionState::Committed);
-  EXPECT_EQ(C->versionState(0), VersionState::Retired)
-      << "a pinned version must stay Retired (wedged), never be Freed";
-
-  AdaptiveStats St = C->stats();
-  EXPECT_EQ(St.Publications, 1u);
-  EXPECT_EQ(St.PinLeaks, 1u);
-  EXPECT_EQ(St.WedgedRetirements, 1u);
-  EXPECT_EQ(St.RetiredVersions, 0u);
-  EXPECT_EQ(C->lastError().code(), StatusCode::DeadlineExceeded)
-      << C->lastError().toString();
-
-  // The wedge is reported once, not respun; service continues.
-  Fx.expectReferenceRun(C->serve(Fx.W.TimingInput));
-  EXPECT_EQ(C->stats().WedgedRetirements, 1u);
-}

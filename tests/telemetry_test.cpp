@@ -7,8 +7,7 @@
 //
 //  - Span rings drop oldest-first with exact accounting, SpanScope parents
 //    nest by the per-thread open stack, and cross-thread work is flow-
-//    linked (prefetch launch -> worker -> consuming fill; re-squash
-//    trigger -> build -> publish -> verdict).
+//    linked (prefetch launch -> worker -> consuming fill).
 //  - The cycle-attribution ledger conserves on every run outcome — clean
 //    halt, instruction-limit stop, and injected-fault runs.
 //  - Tracing never perturbs the guest: byte-identical output, identical
@@ -19,15 +18,15 @@
 //  - Metric names are validated (satellite: hygiene) and the Prometheus
 //    exposition is structurally conformant (HELP before TYPE before
 //    samples; +Inf bucket equals _count).
-//  - Under adaptive hot-swap, the per-run trace ring and the controller
-//    event ring both reconcile exactly (retained + dropped == total).
-//    That test is the runtime-tsan preset's telemetry target.
+//  - While a reader thread drains the span tracer during decode-ahead
+//    runs, the tracer and the per-run trace ring both reconcile exactly
+//    (retained + dropped == total). That test is the runtime-tsan
+//    preset's telemetry target.
 //
 //===----------------------------------------------------------------------===//
 
 #include "compact/Compact.h"
 #include "link/Layout.h"
-#include "squash/Adaptive.h"
 #include "squash/Driver.h"
 #include "squash/FaultInjector.h"
 #include "squash/Observability.h"
@@ -59,6 +58,9 @@ struct Fixture {
   Profile Training;
   SquashResult SR;
   SquashedRun Base;
+  /// A decode-ahead run's event trace: seeds the predictor of the runs
+  /// that need the prefetch worker (runSeededDecodeAhead).
+  std::vector<RuntimeSystem::Event> AheadTrace;
 
   Fixture() {
     W = workloads::buildAdpcm(Scale);
@@ -69,6 +71,11 @@ struct Fixture {
     EXPECT_FALSE(SR.Identity);
     Base = runSquashed(SR.SP, W.TimingInput, RunBudget);
     EXPECT_EQ(Base.Run.Status, RunStatus::Halted) << Base.Run.FaultMessage;
+    SquashedProgram Ahead = SR.SP;
+    Ahead.Opts.DecodeAhead = true;
+    AheadTrace = runSquashed(Ahead, W.TimingInput, RunBudget,
+                             RuntimeSystem::DefaultTraceCapacity)
+                     .Trace;
   }
 
   static Options options() {
@@ -81,6 +88,35 @@ struct Fixture {
 Fixture &fixture() {
   static Fixture F;
   return F;
+}
+
+/// Runs the fixture's image with decode-ahead on and its predictor seeded
+/// from a prior run's trace, so predictions name regions before their
+/// first fill and the prefetch worker decodes them. (An unseeded predictor
+/// names only regions already filled, which the decode memo stages
+/// without the worker.) A nonzero \p TraceCapacity returns the run's
+/// trace ring as runSquashed would.
+SquashedRun runSeededDecodeAhead(const Fixture &F, uint32_t TraceCapacity) {
+  SquashedProgram SP = F.SR.SP;
+  SP.Opts.DecodeAhead = true;
+  Machine::Config Cfg;
+  Cfg.MaxInstructions = RunBudget;
+  Machine M(SP.Img, Cfg);
+  RuntimeSystem RT(SP);
+  if (TraceCapacity)
+    RT.enableTrace(TraceCapacity);
+  EXPECT_TRUE(RT.attach(M).ok());
+  seedPredictorFromEvents(RT.predictor(), F.AheadTrace);
+  M.setInput(F.W.TimingInput);
+  SquashedRun Out;
+  Out.Run = M.run();
+  Out.Runtime = RT.stats();
+  Out.Output = M.output();
+  if (TraceCapacity) {
+    Out.Trace = RT.events();
+    Out.TraceDropped = RT.droppedEvents();
+  }
+  return Out;
 }
 
 /// RAII guard: every test starts from a clean tracer/recorder and leaves
@@ -241,26 +277,25 @@ TEST(Tracing, RuntimeSpansParentUnderTheRunRoot) {
 
 TEST(Tracing, PrefetchFlowLinksLaunchWorkerAndConsumingFill) {
   Fixture &F = fixture();
-  SquashedProgram SP = F.SR.SP;
-  SP.Opts.DecodeAhead = true;
   TelemetryGuard G(true, false);
-  SquashedRun Run = runSquashed(SP, F.W.TimingInput, RunBudget);
+  SquashedRun Run = runSeededDecodeAhead(F, 0);
   ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
   EXPECT_EQ(Run.Output, F.Base.Output);
   ASSERT_GT(Run.Runtime.PrefetchLaunches, 0u)
       << "prefetcher never fired; the flow contract is untestable";
 
   std::vector<Span> Spans = SpanTracer::instance().snapshot();
-  const Span *Launch = findSpan(Spans, "prefetch.launch");
-  ASSERT_NE(Launch, nullptr);
-  ASSERT_NE(Launch->FlowOut, 0u);
-  // The worker span joins and re-emits the same flow id, on its own thread.
-  const Span *Work = nullptr;
+  const Span *Work = findSpan(Spans, "prefetch.decode");
+  ASSERT_NE(Work, nullptr) << "the seeded predictor never used the worker";
+  ASSERT_NE(Work->FlowIn, 0u);
+  // The worker span joins and re-emits its launch's flow id, on its own
+  // thread.
+  const Span *Launch = nullptr;
   for (const Span &S : Spans)
-    if (S.Name && std::string(S.Name) == "prefetch.decode" &&
-        S.FlowIn == Launch->FlowOut)
-      Work = &S;
-  ASSERT_NE(Work, nullptr) << "no worker span joined the launch flow";
+    if (S.Name && std::string(S.Name) == "prefetch.launch" &&
+        S.FlowOut == Work->FlowIn)
+      Launch = &S;
+  ASSERT_NE(Launch, nullptr) << "no launch span opened the worker's flow";
   EXPECT_EQ(Work->FlowOut, Launch->FlowOut);
   EXPECT_NE(Work->ThreadId, Launch->ThreadId);
   if (Run.Runtime.PrefetchHits > 0) {
@@ -489,99 +524,33 @@ TEST(Prometheus, ExpositionIsStructurallyConformant) {
 }
 
 //===----------------------------------------------------------------------===//
-// Re-squash lifecycle flows and the hot-swap ring-drain reconciliation
+// Ring-drain reconciliation under a concurrent reader
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-AdaptiveConfig eagerConfig() {
-  AdaptiveConfig Cfg;
-  Cfg.DriftThreshold = 0.0;
-  Cfg.MinEntriesForTrigger = 1;
-  Cfg.ProbationRuns = 1;
-  Cfg.ProbationTraps = UINT32_MAX;
-  Cfg.RegressionTolerance = 1e9;
-  Cfg.MaxAttempts = 1;
-  return Cfg;
-}
-
-} // namespace
-
-TEST(ResquashSpans, LifecycleIsFlowLinkedAcrossThreads) {
-  Fixture &F = fixture();
-  TelemetryGuard G(true, false);
-  auto C = ResquashController::create(F.W.Prog, F.Training, Fixture::options(),
-                                      eagerConfig())
-               .take();
-  SquashedRun R1 = C->serve(F.W.TimingInput);
-  ASSERT_EQ(R1.Run.Status, RunStatus::Halted);
-  ASSERT_TRUE(C->drain(60.0).ok()) << C->lastError().toString();
-  SquashedRun R2 = C->serve(F.W.TimingInput); // Resolves probation.
-  ASSERT_EQ(R2.Run.Status, RunStatus::Halted);
-  EXPECT_EQ(R2.Output, R1.Output);
-
-  std::vector<Span> Spans = SpanTracer::instance().snapshot();
-  const Span *Trigger = findSpan(Spans, "resquash.trigger");
-  ASSERT_NE(Trigger, nullptr);
-  const uint64_t Flow = Trigger->FlowOut;
-  ASSERT_NE(Flow, 0u);
-
-  const Span *Build = nullptr, *Publish = nullptr, *Verdict = nullptr;
-  for (const Span &S : Spans) {
-    if (!S.Name)
-      continue;
-    std::string N = S.Name;
-    if (N == "resquash.build" && S.FlowIn == Flow)
-      Build = &S;
-    else if (N == "resquash.publish" && S.FlowIn == Flow)
-      Publish = &S;
-    else if ((N == "resquash.commit" || N == "resquash.rollback") &&
-             S.FlowIn == Flow)
-      Verdict = &S;
-  }
-  ASSERT_NE(Build, nullptr) << "no build span joined the trigger flow";
-  ASSERT_NE(Publish, nullptr) << "no publish span joined the trigger flow";
-  ASSERT_NE(Verdict, nullptr) << "no verdict span joined the trigger flow";
-  // The build ran on the pool worker, not the serving thread.
-  EXPECT_NE(Build->ThreadId, Trigger->ThreadId);
-  // The trigger fired inside the serve that observed the drift.
-  const Span *Serve = findSpan(Spans, "resquash.serve");
-  ASSERT_NE(Serve, nullptr);
-  EXPECT_EQ(Trigger->ThreadId, Serve->ThreadId);
-}
-
-TEST(TelemetryHotSwap, RingsReconcileExactlyUnderConcurrentSwap) {
+TEST(TelemetryDecodeAhead, RingsReconcileUnderConcurrentDrain) {
   Fixture &F = fixture();
   TelemetryGuard G(true, false);
   SpanTracer::instance().setRingCapacity(256); // Small: force span drops too.
 
-  AdaptiveConfig Cfg = eagerConfig();
-  Cfg.TraceCapacity = 32; // Tiny run-trace ring: every serve overflows it.
-  Cfg.EventCapacity = 4;  // Tiny event ring: the swap lifecycle overflows it.
-  Cfg.MaxAttempts = 2;
-  auto C = ResquashController::create(F.W.Prog, F.Training, Fixture::options(),
-                                      std::move(Cfg))
-               .take();
-
-  // Concurrent drains: one thread reads the controller's event ring and the
-  // tracer while serves and a background swap run. TSan checks this.
+  // Concurrent drain: one thread reads the tracer while the trap thread and
+  // the prefetch worker both write spans. TSan checks this.
   std::atomic<bool> Stop{false};
   std::thread Reader([&] {
     while (!Stop.load(std::memory_order_acquire)) {
-      (void)C->events();
-      (void)C->droppedEvents();
       (void)SpanTracer::instance().snapshot();
       (void)SpanTracer::instance().totalDropped();
     }
   });
 
   for (int I = 0; I != 4; ++I) {
-    SquashedRun Run = C->serve(F.W.TimingInput);
+    SquashedRun Run = runSeededDecodeAhead(F, 32); // Tiny run-trace ring.
     ASSERT_EQ(Run.Run.Status, RunStatus::Halted) << Run.Run.FaultMessage;
     EXPECT_EQ(Run.Output, F.Base.Output);
     // Per-run trace-ring reconciliation: the ring is bounded, dropped is
     // exact, and retained events are the newest, in cycle order.
     EXPECT_LE(Run.Trace.size(), 32u);
+    EXPECT_GT(Run.TraceDropped, 0u)
+        << "the tiny trace ring never overflowed; drop accounting untested";
     if (Run.TraceDropped > 0) {
       EXPECT_EQ(Run.Trace.size(), 32u)
           << "events dropped while the ring had room";
@@ -589,27 +558,16 @@ TEST(TelemetryHotSwap, RingsReconcileExactlyUnderConcurrentSwap) {
     for (size_t E = 1; E < Run.Trace.size(); ++E)
       EXPECT_GE(Run.Trace[E].Cycle, Run.Trace[E - 1].Cycle);
   }
-  ASSERT_TRUE(C->drain(60.0).ok()) << C->lastError().toString();
-  // Resolve any pending probation so the lifecycle (and its events) finish.
-  for (int I = 0; I != 4 && C->stats().ProbationPending; ++I)
-    (void)C->serve(F.W.TimingInput);
 
   Stop.store(true, std::memory_order_release);
   Reader.join();
 
-  // Controller event-ring reconciliation: Seq is gap-free before drops, so
-  // retained + dropped accounts for every event ever recorded.
-  std::vector<AdaptiveEvent> Events = C->events();
-  ASSERT_FALSE(Events.empty());
-  for (size_t E = 1; E < Events.size(); ++E)
-    EXPECT_EQ(Events[E].Seq, Events[E - 1].Seq + 1)
-        << "retained window has a gap";
-  EXPECT_EQ(Events.size() + C->droppedEvents(), Events.back().Seq + 1);
-  EXPECT_GT(C->droppedEvents(), 0u)
-      << "the tiny event ring never overflowed; drop accounting untested";
-
+  // The worker really was a second writer.
+  std::vector<Span> Spans = SpanTracer::instance().snapshot();
+  EXPECT_NE(findSpan(Spans, "prefetch.decode"), nullptr)
+      << "no worker span: the drain never raced a second writer";
   // Tracer-side accounting stayed coherent under the concurrent reader.
   EXPECT_EQ(SpanTracer::instance().totalEmitted(),
-            SpanTracer::instance().snapshot().size() +
-                SpanTracer::instance().totalDropped());
+            Spans.size() + SpanTracer::instance().totalDropped());
+  SpanTracer::instance().setRingCapacity(1024);
 }
