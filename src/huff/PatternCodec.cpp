@@ -35,6 +35,103 @@ bool patternBefore(const std::vector<uint32_t> &A,
   return A < B;
 }
 
+/// One mined n-gram: a fixed-width key (words past Len stay zero), its
+/// length, and its occurrence count.
+struct Gram {
+  std::array<uint32_t, PatternCodec::MaxLen> Words{};
+  uint32_t Len = 0;
+  uint64_t Count = 0;
+
+  /// patternBefore on the fixed-width key.
+  bool before(const Gram &O) const {
+    if (Len != O.Len)
+      return Len > O.Len;
+    return std::lexicographical_compare(Words.begin(), Words.begin() + Len,
+                                        O.Words.begin(),
+                                        O.Words.begin() + O.Len);
+  }
+};
+
+/// Counts every MinLen..MaxLen-gram of a corpus in one open-addressed
+/// table. The table is sized up front from the corpus's n-gram positions
+/// (an upper bound on distinct keys), so counting never rehashes; slots
+/// hold a key hash and an index into the dense Grams array, which is all
+/// ranking walks. Hash order never reaches the output: ranking sorts with
+/// a total order over the keys.
+class GramCounter {
+public:
+  explicit GramCounter(const std::vector<std::vector<uint32_t>> &Regions) {
+    size_t Positions = 0;
+    for (const auto &Words : Regions)
+      for (size_t Len = PatternCodec::MinLen;
+           Len <= PatternCodec::MaxLen && Len <= Words.size(); ++Len)
+        Positions += Words.size() - Len + 1;
+    size_t Cap = 16;
+    while (Cap < 2 * Positions)
+      Cap <<= 1;
+    Slots.assign(Cap, Slot());
+    Mask = Cap - 1;
+    Grams.reserve(Positions);
+    for (const auto &Words : Regions)
+      countRegion(Words);
+  }
+
+  std::vector<Gram> take() { return std::move(Grams); }
+
+private:
+  struct Slot {
+    uint32_t Hash = 0;
+    uint32_t Index = Empty;
+  };
+  static constexpr uint32_t Empty = 0xFFFFFFFFu;
+
+  /// Extends the running hash of a window by one word.
+  static uint64_t mix(uint64_t H, uint32_t Word) {
+    H = (H ^ Word) * 0x9E3779B97F4A7C15ull;
+    return H ^ (H >> 29);
+  }
+
+  void countRegion(const std::vector<uint32_t> &Words) {
+    for (size_t At = 0; At != Words.size(); ++At) {
+      const size_t Longest =
+          std::min<size_t>(PatternCodec::MaxLen, Words.size() - At);
+      uint64_t H = 0;
+      for (size_t Len = 1; Len <= Longest; ++Len) {
+        H = mix(H, Words[At + Len - 1]);
+        if (Len >= PatternCodec::MinLen)
+          bump(&Words[At], static_cast<uint32_t>(Len), H);
+      }
+    }
+  }
+
+  void bump(const uint32_t *Words, uint32_t Len, uint64_t H64) {
+    const uint32_t H = static_cast<uint32_t>(H64 ^ (H64 >> 32)) ^ Len;
+    for (size_t S = H & Mask;; S = (S + 1) & Mask) {
+      Slot &Sl = Slots[S];
+      if (Sl.Index == Empty) {
+        Sl = {H, static_cast<uint32_t>(Grams.size())};
+        Gram G;
+        std::copy(Words, Words + Len, G.Words.begin());
+        G.Len = Len;
+        G.Count = 1;
+        Grams.push_back(G);
+        return;
+      }
+      if (Sl.Hash != H)
+        continue;
+      Gram &G = Grams[Sl.Index];
+      if (G.Len == Len && std::equal(Words, Words + Len, G.Words.begin())) {
+        ++G.Count;
+        return;
+      }
+    }
+  }
+
+  std::vector<Slot> Slots;
+  size_t Mask = 0;
+  std::vector<Gram> Grams;
+};
+
 } // namespace
 
 PatternCodec
@@ -48,33 +145,32 @@ PatternCodec::build(const std::vector<std::vector<MInst>> &Corpus) {
     RegionWords.push_back(toWords(R));
 
   // Candidate mining: every n-gram of MinLen..MaxLen words, counted at
-  // every position. std::map keys keep the scan order deterministic.
-  std::map<std::vector<uint32_t>, uint64_t> Counts;
-  for (const auto &Words : RegionWords)
-    for (size_t At = 0; At != Words.size(); ++At)
-      for (size_t Len = MinLen; Len <= MaxLen && At + Len <= Words.size();
-           ++Len)
-        ++Counts[std::vector<uint32_t>(Words.begin() + At,
-                                       Words.begin() + At + Len)];
+  // every position.
+  std::vector<Gram> Grams = GramCounter(RegionWords).take();
 
   // Rank by estimated savings (occurrences x length), drop singletons, and
-  // take the top MaxPatterns as the provisional dictionary.
-  std::vector<std::pair<uint64_t, std::vector<uint32_t>>> Ranked;
-  for (const auto &[Words, Count] : Counts)
-    if (Count >= 2)
-      Ranked.emplace_back(Count * Words.size(), Words);
-  std::sort(Ranked.begin(), Ranked.end(),
-            [](const auto &A, const auto &B) {
-              if (A.first != B.first)
-                return A.first > B.first;
-              return patternBefore(A.second, B.second);
-            });
-  if (Ranked.size() > MaxPatterns)
-    Ranked.resize(MaxPatterns);
+  // take the top MaxPatterns as the provisional dictionary. The ranking is
+  // a total order (ties by patternBefore), so the top MaxPatterns are the
+  // same entries a full sort would keep.
+  std::vector<const Gram *> Ranked;
+  for (const Gram &G : Grams)
+    if (G.Count >= 2)
+      Ranked.push_back(&G);
+  const size_t Keep = std::min<size_t>(Ranked.size(), MaxPatterns);
+  std::partial_sort(Ranked.begin(), Ranked.begin() + Keep, Ranked.end(),
+                    [](const Gram *A, const Gram *B) {
+                      const uint64_t SA = A->Count * A->Len;
+                      const uint64_t SB = B->Count * B->Len;
+                      if (SA != SB)
+                        return SA > SB;
+                      return A->before(*B);
+                    });
   C.PatternWords.clear();
-  for (auto &[Score, Words] : Ranked)
-    C.PatternWords.push_back(std::move(Words));
+  for (size_t I = 0; I != Keep; ++I)
+    C.PatternWords.emplace_back(Ranked[I]->Words.begin(),
+                                Ranked[I]->Words.begin() + Ranked[I]->Len);
   std::sort(C.PatternWords.begin(), C.PatternWords.end(), patternBefore);
+  C.indexPatterns();
 
   // Two parse rounds: overlapping mined counts overstate usefulness, so
   // parse once, keep only entries the greedy parse actually used at least
@@ -97,6 +193,7 @@ PatternCodec::build(const std::vector<std::vector<MInst>> &Corpus) {
       if (Uses[I] >= MinUses)
         Kept.push_back(std::move(C.PatternWords[I]));
     C.PatternWords = std::move(Kept); // Order (longest-first) is preserved.
+    C.indexPatterns();
   }
 
   C.Patterns.clear();
@@ -151,14 +248,27 @@ PatternCodec::build(const std::vector<std::vector<MInst>> &Corpus) {
   return C;
 }
 
+void PatternCodec::indexPatterns() {
+  FirstWordIndex.clear();
+  for (size_t P = 0; P != PatternWords.size(); ++P)
+    if (!PatternWords[P].empty())
+      FirstWordIndex.emplace_back(PatternWords[P].front(),
+                                  static_cast<uint32_t>(P));
+  // Sorting (word, index) pairs keeps each bucket in priority order.
+  std::sort(FirstWordIndex.begin(), FirstWordIndex.end());
+}
+
 int PatternCodec::matchAt(const std::vector<uint32_t> &Words,
                           size_t At) const {
-  for (size_t P = 0; P != PatternWords.size(); ++P) {
-    const auto &Pat = PatternWords[P];
+  const uint32_t First = Words[At];
+  auto It = std::lower_bound(FirstWordIndex.begin(), FirstWordIndex.end(),
+                             std::make_pair(First, uint32_t{0}));
+  for (; It != FirstWordIndex.end() && It->first == First; ++It) {
+    const auto &Pat = PatternWords[It->second];
     if (At + Pat.size() > Words.size())
       continue;
-    if (std::equal(Pat.begin(), Pat.end(), Words.begin() + At))
-      return static_cast<int>(P);
+    if (std::equal(Pat.begin() + 1, Pat.end(), Words.begin() + At + 1))
+      return static_cast<int>(It->second);
   }
   return -1;
 }

@@ -33,6 +33,7 @@
 
 #include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace squash {
@@ -40,8 +41,8 @@ namespace squash {
 class PatternCodec final : public Codec {
 public:
   /// Dictionary bounds: entries are MinLen..MaxLen instructions, at most
-  /// MaxPatterns of them (an 8-bit serialized count and a small, cheap
-  /// longest-match scan).
+  /// MaxPatterns of them (an 8-bit serialized count and a fixed-width
+  /// n-gram key for mining).
   static constexpr unsigned MaxPatterns = 64;
   static constexpr unsigned MinLen = 2;
   static constexpr unsigned MaxLen = 8;
@@ -111,9 +112,14 @@ private:
     return static_cast<uint32_t>(Patterns.size()) + 1;
   }
 
-  /// Longest dictionary entry matching \p Words at \p At, or -1. Patterns
-  /// are kept sorted longest-first, so the first hit wins.
+  /// Longest dictionary entry matching \p Words at \p At, or -1. Only the
+  /// entries starting with Words[At] are tried, in priority order
+  /// (longest first), so the first hit wins.
   int matchAt(const std::vector<uint32_t> &Words, size_t At) const;
+
+  /// Rebuilds FirstWordIndex from PatternWords; call after every change to
+  /// the dictionary.
+  void indexPatterns();
 
   /// Shared encode core: greedy-parses and emits \p Insts into \p W,
   /// accumulating \p Work.
@@ -130,6 +136,9 @@ private:
   std::vector<std::vector<vea::MInst>> Patterns;
   /// The same entries as encoded instruction words, for matching.
   std::vector<std::vector<uint32_t>> PatternWords;
+  /// (first word, PatternWords index) pairs sorted by word, then index: the
+  /// bucket of a word lists its entries in match priority.
+  std::vector<std::pair<uint32_t, uint32_t>> FirstWordIndex;
   /// Selector code over {0..P-1, ESCAPE=P, END=P+1}.
   CanonicalCode Selector;
   /// Escape field codes, one per stream (order-0).

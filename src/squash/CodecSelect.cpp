@@ -58,9 +58,11 @@ Status CodecSelectPass::run(PipelineContext &Ctx) {
     return Status::success();
 
   // Trial-encode against exactly what the rewriter will store: the
-  // lowered per-region instruction sequences.
-  Expected<std::vector<std::vector<MInst>>> StoredOr = lowerStoredRegions(
-      Ctx.program(), Ctx.cfg(), Ctx.Part, Ctx.BufferSafeFuncs, Opts);
+  // per-region instruction sequences lowered under the layout pass's
+  // placement. The pattern tables built here are the image's tables.
+  Expected<std::vector<std::vector<MInst>>> StoredOr =
+      lowerStoredRegions(Ctx.program(), Ctx.cfg(), Ctx.Part,
+                         Ctx.BufferSafeFuncs, Opts, Ctx.FuncOrder);
   if (!StoredOr)
     return StoredOr.status();
   const std::vector<std::vector<MInst>> &Stored = StoredOr.get();

@@ -44,10 +44,13 @@ namespace squash {
 // codecDecodeCycles — the shared fill-pricing formula this pass optimizes
 // against — lives in squash/CostModel.h next to the constants it uses.
 
-/// The "codec-select" pass (between buffer-safe and rewrite). Writes its
-/// verdict into PipelineContext::Plan; RewritePass hands the plan to
-/// rewriteProgram. Disabled (Options::DisabledPasses) or in "huffman"
-/// mode it leaves the plan empty, reproducing the legacy blob exactly.
+/// The "codec-select" pass (between layout and rewrite). Trial-encodes the
+/// regions lowered under PipelineContext::FuncOrder — the corpus the
+/// rewriter will store — and writes its verdict into
+/// PipelineContext::Plan; RewritePass hands the plan, whose pattern tables
+/// are the image's, to rewriteProgram. Disabled (Options::DisabledPasses)
+/// or in "huffman" mode it leaves the plan empty, reproducing the legacy
+/// blob exactly.
 class CodecSelectPass final : public Pass {
 public:
   const char *name() const override { return "codec-select"; }

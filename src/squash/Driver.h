@@ -15,8 +15,9 @@
 ///
 ///   cold-code (Sec. 5) -> unswitch (Sec. 6.2, invalidates the CFG cache)
 ///   -> filter-setjmp-indirect (Sec. 2.2) -> filter-computed-jump
-///   -> regions (Sec. 4) -> buffer-safe (Sec. 6.1) -> codec-select
-///   -> layout (profile-guided function placement) -> rewrite (Sec. 2)
+///   -> regions (Sec. 4) -> buffer-safe (Sec. 6.1)
+///   -> layout (profile-guided function placement) -> codec-select
+///   -> rewrite (Sec. 2)
 ///
 /// then the caller attaches the decompressor runtime via runSquashed.
 /// Tools that need a prefix, a skip, or per-pass hooks drive a

@@ -24,11 +24,13 @@
 /// Placement is whole-function only — blocks keep their in-function order
 /// — so fallthrough edges never cross a placement seam and guest behaviour
 /// is byte-identical under any order (the rewriter re-resolves every
-/// displacement). The pass runs between codec-select and rewrite and
-/// writes PipelineContext::FuncOrder, which RewritePass feeds to the
-/// rewriter (or, for identity images, straight to link/Layout's explicit-
-/// order overload). Gated by Options::ProfileLayout (default off: emits
-/// the identity order, keeping every existing image byte-stable).
+/// displacement). The pass runs between buffer-safe and codec-select and
+/// writes PipelineContext::FuncOrder. Codec-select lowers the regions under
+/// that order, so the coders are trained once, on the placed corpus, and
+/// RewritePass feeds the same order to the rewriter (or, for identity
+/// images, straight to link/Layout's explicit-order overload). Gated by
+/// Options::ProfileLayout (default off: emits the identity order, keeping
+/// every existing image byte-stable).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +51,7 @@ namespace squash {
 std::vector<unsigned> computeFunctionLayout(const vea::Cfg &G,
                                             const vea::Profile &Prof);
 
-/// The "layout" pass (between codec-select and rewrite).
+/// The "layout" pass (between buffer-safe and codec-select).
 class LayoutPass final : public Pass {
 public:
   const char *name() const override { return "layout"; }

@@ -377,8 +377,8 @@ void squash::buildStandardPipeline(PassManager &PM) {
   PM.addPass(std::make_unique<ComputedJumpFilterPass>());
   PM.addPass(std::make_unique<RegionsPass>());
   PM.addPass(std::make_unique<BufferSafePass>());
-  PM.addPass(std::make_unique<CodecSelectPass>());
   PM.addPass(std::make_unique<LayoutPass>());
+  PM.addPass(std::make_unique<CodecSelectPass>());
   PM.addPass(std::make_unique<RewritePass>());
 }
 

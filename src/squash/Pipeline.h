@@ -85,7 +85,8 @@ public:
   CodecPlan Plan;
 
   /// Hot-half function placement produced by the layout pass (a
-  /// permutation of function indices) and consumed by the rewrite pass.
+  /// permutation of function indices) and consumed by the codec-select
+  /// and rewrite passes, which must lower the same placed corpus.
   /// Empty = identity order, the byte-stable default.
   std::vector<unsigned> FuncOrder;
 
@@ -182,7 +183,7 @@ private:
 /// used to inline:
 ///
 ///   cold-code, unswitch, filter-setjmp-indirect, filter-computed-jump,
-///   regions, buffer-safe, codec-select, layout, rewrite
+///   regions, buffer-safe, layout, codec-select, rewrite
 void buildStandardPipeline(PassManager &PM);
 
 /// Names of the standard passes, in order (squash_tool --print-pipeline).

@@ -446,14 +446,6 @@ Status Rewriter::emit() {
     return Status::error(StatusCode::InvalidArgument,
                          "rewriter: plan selects the pattern codec but "
                          "carries no pattern tables");
-  // The plan's side tables were trained on the corpus codec-select lowered,
-  // which assumed program-order placement. An explicit function order moves
-  // never-compressed targets, so the stored displacements differ; retrain
-  // the pattern coder on the corpus actually being encoded. The per-region
-  // codec choice is kept — placement shifts displacements, not the
-  // relative compressibility the selection measured.
-  if (HadExplicitOrder && UsePattern)
-    Plan.Pattern = PatternCodec::build(Stored);
   for (size_t R = 0; R != NumRegions; ++R)
     Out.Regions[R].Codec = static_cast<uint8_t>(Kind[R]);
 
@@ -653,6 +645,34 @@ Expected<std::vector<std::vector<MInst>>> Rewriter::preview() {
   return std::move(Stored);
 }
 
+namespace {
+
+/// The argument checks rewriteProgram and lowerStoredRegions share: one
+/// buffer-safe flag per function, and an empty function order or a
+/// permutation of the function indices.
+Status checkRewriterInputs(const Cfg &G, const std::vector<uint8_t> &Safe,
+                           const std::vector<unsigned> &FuncOrder) {
+  if (Safe.size() != G.numFunctions())
+    return Status::error(
+        StatusCode::InvalidArgument,
+        "rewriter: buffer-safe vector does not match program");
+  if (FuncOrder.empty())
+    return Status::success();
+  if (FuncOrder.size() != G.numFunctions())
+    return Status::error(StatusCode::InvalidArgument,
+                         "rewriter: function order does not match program");
+  std::vector<uint8_t> Seen(G.numFunctions(), 0);
+  for (unsigned F : FuncOrder) {
+    if (F >= G.numFunctions() || Seen[F])
+      return Status::error(StatusCode::InvalidArgument,
+                           "rewriter: function order is not a permutation");
+    Seen[F] = 1;
+  }
+  return Status::success();
+}
+
+} // namespace
+
 void squash::recordFunctionOrder(SquashedProgram &SP, const Program &Prog,
                                  const std::vector<unsigned> &FuncOrder) {
   SP.FuncLayout.clear();
@@ -672,24 +692,8 @@ squash::rewriteProgram(const Program &Prog, const Cfg &G,
                        const std::vector<uint8_t> &Safe,
                        const Options &Opts, CodecPlan Plan,
                        const std::vector<unsigned> &FuncOrder) {
-  if (Safe.size() != G.numFunctions())
-    return Status::error(
-        StatusCode::InvalidArgument,
-        "rewriter: buffer-safe vector does not match program");
-  if (!FuncOrder.empty()) {
-    if (FuncOrder.size() != G.numFunctions())
-      return Status::error(
-          StatusCode::InvalidArgument,
-          "rewriter: function order does not match program");
-    std::vector<uint8_t> Seen(G.numFunctions(), 0);
-    for (unsigned F : FuncOrder) {
-      if (F >= G.numFunctions() || Seen[F])
-        return Status::error(
-            StatusCode::InvalidArgument,
-            "rewriter: function order is not a permutation");
-      Seen[F] = 1;
-    }
-  }
+  if (Status St = checkRewriterInputs(G, Safe, FuncOrder); !St.ok())
+    return St;
   Rewriter RW(Prog, G, Part, Safe, Opts, std::move(Plan), FuncOrder);
   return RW.run();
 }
@@ -698,12 +702,11 @@ Expected<std::vector<std::vector<MInst>>>
 squash::lowerStoredRegions(const Program &Prog, const Cfg &G,
                            const Partition &Part,
                            const std::vector<uint8_t> &Safe,
-                           const Options &Opts) {
-  if (Safe.size() != G.numFunctions())
-    return Status::error(
-        StatusCode::InvalidArgument,
-        "rewriter: buffer-safe vector does not match program");
-  Rewriter RW(Prog, G, Part, Safe, Opts);
+                           const Options &Opts,
+                           const std::vector<unsigned> &FuncOrder) {
+  if (Status St = checkRewriterInputs(G, Safe, FuncOrder); !St.ok())
+    return St;
+  Rewriter RW(Prog, G, Part, Safe, Opts, CodecPlan(), FuncOrder);
   return RW.preview();
 }
 

@@ -279,7 +279,9 @@ vea::Status relocateRegionWords(std::vector<uint32_t> &Words,
 /// with InvalidArgument on mismatched inputs, LayoutError when a branch or
 /// region does not fit its encoding, or EncodingError from the compressor.
 /// \p Plan carries the codec-select pass's per-region coder choices; the
-/// default (empty) plan encodes every region with the Huffman coder.
+/// default (empty) plan encodes every region with the Huffman coder. Its
+/// pattern tables are stored as given, so they must be trained on
+/// lowerStoredRegions under the same \p FuncOrder (codec-select's are).
 /// \p FuncOrder places never-compressed code in an explicit function order
 /// (the layout pass's verdict); empty means program order, and the image
 /// is then byte-identical to what the parameterless order produced before
@@ -301,14 +303,18 @@ void recordFunctionOrder(SquashedProgram &SP, const vea::Program &Prog,
 
 /// Runs the rewriter's lowering phases only (entries, expanded offsets,
 /// layout, region lowering) and returns each region's stored instruction
-/// sequence — exactly what rewriteProgram will hand the region coder. The
-/// codec-select pass trial-encodes this corpus to choose per-region
-/// coders without building the image twice.
+/// sequence — exactly what rewriteProgram will hand the region coder when
+/// given the same \p FuncOrder. The codec-select pass trial-encodes this
+/// corpus, placed by the layout pass's order, to choose per-region coders
+/// and train the pattern tables once, without building the image twice.
+/// Rejects a buffer-safe vector or function order that does not match the
+/// program with InvalidArgument, as rewriteProgram does.
 vea::Expected<std::vector<std::vector<vea::MInst>>>
 lowerStoredRegions(const vea::Program &Prog, const vea::Cfg &G,
                    const Partition &Part,
                    const std::vector<uint8_t> &BufferSafeFuncs,
-                   const Options &Opts);
+                   const Options &Opts,
+                   const std::vector<unsigned> &FuncOrder = {});
 
 } // namespace squash
 

@@ -12,7 +12,10 @@
 // never worse than always-Huffman on the modeled objective, and — the
 // size-accounting regression — the footprint breakdown's totals equal the
 // on-disk image bytes under every codec, with the compressed charge equal
-// to the byte ceiling of the measured table + payload bits.
+// to the byte ceiling of the measured table + payload bits. The pattern
+// coder's hashed miner and first-word match index are checked bit for bit
+// against a map-counted, linearly matched oracle, and the image's pattern
+// tables against a fresh build over the corpus the rewriter stores.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,10 +25,14 @@
 #include "squash/CodecSelect.h"
 #include "squash/Driver.h"
 #include "squash/Observability.h"
+#include "squash/Pipeline.h"
 #include "support/Random.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
 
 using namespace vea;
 using namespace squash;
@@ -190,6 +197,244 @@ uint64_t modeledDecodeCycles(const SquashedProgram &SP) {
   return Total;
 }
 
+
+/// The pattern coder as first written, kept as an oracle for the hashed
+/// n-gram miner and the first-word match index of huff/PatternCodec.cpp:
+/// n-grams counted as std::vector keys of a std::map and a linear,
+/// longest-first dictionary scan at every word. It builds the same tables,
+/// serializes them in the same format and trial-encodes the same way, so
+/// any difference from PatternCodec is a bug in one of the two.
+class OraclePatternCoder {
+public:
+  explicit OraclePatternCoder(const std::vector<std::vector<MInst>> &Corpus) {
+    std::vector<std::vector<uint32_t>> RegionWords;
+    for (const auto &R : Corpus)
+      RegionWords.push_back(toWords(R));
+
+    std::map<std::vector<uint32_t>, uint64_t> Counts;
+    for (const auto &Words : RegionWords)
+      for (size_t At = 0; At != Words.size(); ++At)
+        for (size_t Len = PatternCodec::MinLen;
+             Len <= PatternCodec::MaxLen && At + Len <= Words.size(); ++Len)
+          ++Counts[std::vector<uint32_t>(Words.begin() + At,
+                                         Words.begin() + At + Len)];
+
+    std::vector<std::pair<uint64_t, std::vector<uint32_t>>> Ranked;
+    for (const auto &[Words, Count] : Counts)
+      if (Count >= 2)
+        Ranked.emplace_back(Count * Words.size(), Words);
+    std::sort(Ranked.begin(), Ranked.end(), [](const auto &A, const auto &B) {
+      if (A.first != B.first)
+        return A.first > B.first;
+      return before(A.second, B.second);
+    });
+    if (Ranked.size() > PatternCodec::MaxPatterns)
+      Ranked.resize(PatternCodec::MaxPatterns);
+    for (auto &[Score, Words] : Ranked)
+      Patterns.push_back(std::move(Words));
+    std::sort(Patterns.begin(), Patterns.end(), before);
+
+    for (int Round = 0; Round != 2; ++Round) {
+      std::vector<uint64_t> Uses(Patterns.size(), 0);
+      for (const auto &Words : RegionWords)
+        for (size_t At = 0; At < Words.size();) {
+          int M = matchAt(Words, At);
+          if (M >= 0) {
+            ++Uses[static_cast<size_t>(M)];
+            At += Patterns[static_cast<size_t>(M)].size();
+          } else {
+            ++At;
+          }
+        }
+      std::vector<std::vector<uint32_t>> Kept;
+      const uint64_t MinUses = Round == 0 ? 2 : 1;
+      for (size_t I = 0; I != Patterns.size(); ++I)
+        if (Uses[I] >= MinUses)
+          Kept.push_back(std::move(Patterns[I]));
+      Patterns = std::move(Kept);
+    }
+
+    std::vector<uint64_t> SelFreq(Patterns.size() + 2, 0);
+    std::array<std::map<uint32_t, uint64_t>, NumFieldKinds> FieldFreq;
+    for (size_t R = 0; R != RegionWords.size(); ++R) {
+      const auto &Words = RegionWords[R];
+      for (size_t At = 0; At < Words.size();) {
+        int M = matchAt(Words, At);
+        if (M >= 0) {
+          ++SelFreq[static_cast<size_t>(M)];
+          At += Patterns[static_cast<size_t>(M)].size();
+          continue;
+        }
+        ++SelFreq[escape()];
+        const MInst &I = Corpus[R][At];
+        const FormatLayout &L = formatLayout(formatOf(I.Op));
+        for (unsigned S = 0; S != L.Count; ++S)
+          ++FieldFreq[static_cast<unsigned>(L.Slots[S].Kind)]
+                     [I.get(L.Slots[S].Kind)];
+        ++At;
+      }
+      ++SelFreq[end()];
+    }
+    std::vector<std::pair<uint32_t, uint64_t>> SelPairs;
+    for (uint32_t Sym = 0; Sym != SelFreq.size(); ++Sym)
+      if (SelFreq[Sym])
+        SelPairs.emplace_back(Sym, SelFreq[Sym]);
+    Selector = CanonicalCode::build(std::move(SelPairs));
+    for (unsigned K = 0; K != NumFieldKinds; ++K) {
+      std::vector<std::pair<uint32_t, uint64_t>> Pairs(FieldFreq[K].begin(),
+                                                       FieldFreq[K].end());
+      Esc[K] = CanonicalCode::build(std::move(Pairs));
+    }
+  }
+
+  void serializeTables(BitWriter &W) const {
+    W.writeBits(static_cast<uint32_t>(Patterns.size()), 8);
+    for (const auto &Words : Patterns) {
+      W.writeBits(static_cast<uint32_t>(Words.size()), 4);
+      for (uint32_t Word : Words)
+        W.writeBits(Word, 32);
+    }
+    Selector.serialize(W, 8);
+    for (unsigned K = 0; K != NumFieldKinds; ++K)
+      Esc[K].serialize(W, fieldWidth(static_cast<FieldKind>(K)));
+  }
+
+  /// Trial encode of one region: its payload bits and decode work.
+  void measure(const std::vector<MInst> &Insts, BitWriter &W,
+               DecodeWork &Work) const {
+    std::vector<uint32_t> Words = toWords(Insts);
+    for (size_t At = 0; At < Words.size();) {
+      int M = matchAt(Words, At);
+      if (M >= 0) {
+        ASSERT_TRUE(Selector.encode(static_cast<uint32_t>(M), W));
+        const size_t Len = Patterns[static_cast<size_t>(M)].size();
+        Work.Instructions += Len;
+        Work.PatternCovered += Len;
+        At += Len;
+        continue;
+      }
+      ASSERT_TRUE(Selector.encode(escape(), W));
+      const MInst &I = Insts[At];
+      const FormatLayout &L = formatLayout(formatOf(I.Op));
+      for (unsigned S = 0; S != L.Count; ++S) {
+        FieldKind K = L.Slots[S].Kind;
+        ASSERT_TRUE(Esc[static_cast<unsigned>(K)].encode(I.get(K), W));
+      }
+      ++Work.Instructions;
+      ++Work.Escapes;
+      ++At;
+    }
+    ASSERT_TRUE(Selector.encode(end(), W));
+  }
+
+private:
+  static std::vector<uint32_t> toWords(const std::vector<MInst> &Insts) {
+    std::vector<uint32_t> Words;
+    for (const MInst &I : Insts)
+      Words.push_back(encode(I));
+    return Words;
+  }
+  static bool before(const std::vector<uint32_t> &A,
+                     const std::vector<uint32_t> &B) {
+    if (A.size() != B.size())
+      return A.size() > B.size();
+    return A < B;
+  }
+  int matchAt(const std::vector<uint32_t> &Words, size_t At) const {
+    for (size_t P = 0; P != Patterns.size(); ++P) {
+      const auto &Pat = Patterns[P];
+      if (At + Pat.size() <= Words.size() &&
+          std::equal(Pat.begin(), Pat.end(), Words.begin() + At))
+        return static_cast<int>(P);
+    }
+    return -1;
+  }
+  uint32_t escape() const { return static_cast<uint32_t>(Patterns.size()); }
+  uint32_t end() const { return static_cast<uint32_t>(Patterns.size()) + 1; }
+
+  std::vector<std::vector<uint32_t>> Patterns;
+  CanonicalCode Selector;
+  std::array<CanonicalCode, NumFieldKinds> Esc;
+};
+
+/// Asserts PatternCodec::build and the oracle agree on \p Corpus: the same
+/// serialized tables, and per region the same trial-encoded bits and the
+/// same decode work.
+void expectMatchesOracle(const std::vector<std::vector<MInst>> &Corpus) {
+  PatternCodec C = PatternCodec::build(Corpus);
+  OraclePatternCoder O(Corpus);
+  BitWriter OW;
+  O.serializeTables(OW);
+  ASSERT_EQ(C.tableBits(), OW.bitSize());
+  ASSERT_EQ(serializedTables(C), OW.takeBytes());
+  for (size_t R = 0; R != Corpus.size(); ++R) {
+    uint64_t Got = 0;
+    DecodeWork Work;
+    ASSERT_TRUE(C.measureRegion(Corpus[R], Got, Work).ok()) << R;
+    BitWriter Want;
+    DecodeWork WantWork;
+    O.measure(Corpus[R], Want, WantWork);
+    ASSERT_EQ(Got, Want.bitSize()) << "region " << R;
+    BitWriter GotW;
+    ASSERT_TRUE(C.encodeRegion(Corpus[R], GotW).ok()) << R;
+    ASSERT_EQ(GotW.takeBytes(), Want.takeBytes()) << "region " << R;
+    EXPECT_EQ(Work.Instructions, WantWork.Instructions) << R;
+    EXPECT_EQ(Work.PatternCovered, WantWork.PatternCovered) << R;
+    EXPECT_EQ(Work.Escapes, WantWork.Escapes) << R;
+  }
+}
+
+/// The full-size workloads, as the end-to-end benchmark builds them.
+using WorkloadBuilder = workloads::Workload (*)(double);
+constexpr WorkloadBuilder WorkloadBuilders[] = {
+    workloads::buildAdpcm,    workloads::buildEpic,
+    workloads::buildG721Dec,  workloads::buildG721Enc,
+    workloads::buildGsm,      workloads::buildJpegDec,
+    workloads::buildJpegEnc,  workloads::buildMpeg2Dec,
+    workloads::buildMpeg2Enc, workloads::buildPgp,
+    workloads::buildRasta};
+
+/// One full-size workload squashed under the offline compressor's
+/// configuration (theta 0.01, codec auto, profile layout), keeping the
+/// pipeline context so the stored corpus can be lowered again afterwards.
+struct PlacedSquash {
+  Program Prog;
+  Profile Prof;
+  Options Opts;
+  SquashResult R;
+  std::unique_ptr<PipelineContext> Ctx;
+  Status Squashed;
+
+  explicit PlacedSquash(int Index) {
+    workloads::Workload W = WorkloadBuilders[Index](1.0);
+    compactProgram(W.Prog).take();
+    Prof = profileImage(layoutProgram(W.Prog), W.ProfilingInput).take();
+    Prog = std::move(W.Prog);
+    Opts.Theta = 0.01;
+    Opts.Codec = "auto";
+    Opts.ProfileLayout = true;
+    Ctx = std::make_unique<PipelineContext>(Prog, Prof, Opts, R);
+    PassManager PM;
+    buildStandardPipeline(PM);
+    Squashed = PM.run(*Ctx);
+  }
+
+  /// The corpus the rewriter stored: every region lowered under the
+  /// pipeline's final function order.
+  Expected<std::vector<std::vector<MInst>>> storedCorpus() {
+    return lowerStoredRegions(Ctx->program(), Ctx->cfg(), Ctx->Part,
+                              Ctx->BufferSafeFuncs, Opts, Ctx->FuncOrder);
+  }
+};
+
+std::string workloadParamName(const ::testing::TestParamInfo<int> &Info) {
+  static const char *Names[] = {"adpcm",    "epic",     "g721_dec",
+                                "g721_enc", "gsm",      "jpeg_dec",
+                                "jpeg_enc", "mpeg2dec", "mpeg2enc",
+                                "pgp",      "rasta"};
+  return Names[Info.param];
+}
+
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -236,6 +481,16 @@ TEST(CodecBuild, IsDeterministic) {
     ASSERT_TRUE(PB.encodeRegion(CorpusB[I], WB).ok());
   }
   EXPECT_EQ(WA.takeBytes(), WB.takeBytes());
+}
+
+TEST(CodecBuild, MatchesMapMinerOracleOnSeededCorpora) {
+  // Region counts and lengths vary with the seed, so some corpora mine
+  // fewer than MaxPatterns candidates and most mine many more.
+  for (uint64_t Seed = 0; Seed != 64; ++Seed) {
+    SCOPED_TRACE(Seed);
+    Rng R(9000 + Seed);
+    expectMatchesOracle(patternedCorpus(R, 1 + Seed % 17, 10 + 7 * (Seed % 19)));
+  }
 }
 
 TEST(CodecBuild, AbsentCodecRefusesWork) {
@@ -445,3 +700,60 @@ TEST(FormatVersion, RegionWithUnknownCodecIdIsRejected) {
         << Run.Run.FaultMessage;
   }
 }
+
+//===----------------------------------------------------------------------===//
+// The offline compressor's corpus: one pattern build, on the placed regions
+//===----------------------------------------------------------------------===//
+
+namespace {
+class PlacedCorpus : public ::testing::TestWithParam<int> {};
+} // namespace
+
+TEST_P(PlacedCorpus, PatternCodecMatchesMapMinerOracle) {
+  PlacedSquash S(GetParam());
+  ASSERT_TRUE(S.Squashed.ok()) << S.Squashed.toString();
+  Expected<std::vector<std::vector<MInst>>> Stored = S.storedCorpus();
+  ASSERT_TRUE(Stored.ok()) << Stored.status().toString();
+  ASSERT_FALSE(Stored.get().empty());
+  expectMatchesOracle(Stored.get());
+}
+
+TEST_P(PlacedCorpus, ImageTablesAreTrainedOnTheStoredCorpus) {
+  // Codec-select builds the pattern tables once, from the corpus lowered
+  // under the layout pass's order, and the rewriter stores them as given.
+  // So every region of the image must decode to that corpus, and the
+  // image's pattern tables must equal a fresh build over it. A pass that
+  // moved code between codec-select and rewrite would break both.
+  PlacedSquash S(GetParam());
+  ASSERT_TRUE(S.Squashed.ok()) << S.Squashed.toString();
+  ASSERT_FALSE(S.R.Identity);
+  const SquashedProgram &SP = S.R.SP;
+  Expected<std::vector<std::vector<MInst>>> StoredOr = S.storedCorpus();
+  ASSERT_TRUE(StoredOr.ok()) << StoredOr.status().toString();
+  const std::vector<std::vector<MInst>> &Stored = StoredOr.get();
+  ASSERT_EQ(Stored.size(), SP.Regions.size());
+
+  const RuntimeLayout &L = SP.Layout;
+  const uint8_t *Blob = SP.Img.Bytes.data() + (L.BlobBase - SP.Img.Base);
+  size_t PatternRegions = 0;
+  for (size_t R = 0; R != SP.Regions.size(); ++R) {
+    PatternRegions += SP.regionCodec(R) == CodecKind::Pattern;
+    std::unique_ptr<RegionCursor> Cur =
+        SP.makeRegionCursor(R, Blob, L.BlobBytes);
+    MInst I;
+    size_t N = 0;
+    while (Cur->next(I)) {
+      ASSERT_LT(N, Stored[R].size()) << "region " << R << " overran";
+      ASSERT_EQ(encode(I), encode(Stored[R][N])) << "region " << R << ":" << N;
+      ++N;
+    }
+    ASSERT_TRUE(Cur->ok()) << "region " << R;
+    ASSERT_EQ(N, Stored[R].size()) << "region " << R;
+  }
+  ASSERT_GT(PatternRegions, 0u);
+  EXPECT_EQ(serializedTables(SP.Pattern),
+            serializedTables(PatternCodec::build(Stored)));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllWorkloads, PlacedCorpus, ::testing::Range(0, 11),
+                         workloadParamName);

@@ -396,3 +396,54 @@ TEST(LayoutPass, RewriteRejectsBadExplicitOrder) {
   ASSERT_TRUE(B.ok());
   EXPECT_EQ(A.get().Img.Bytes, B.get().Img.Bytes);
 }
+
+TEST(LayoutPass, BothLoweringEntryPointsRejectABadOrder) {
+  // Codec-select lowers the corpus it trains on through lowerStoredRegions
+  // and the rewriter lowers the image through rewriteProgram; both take
+  // the layout pass's order and must refuse the same malformed ones.
+  Program Prog = layoutProgram3();
+  Profile Prof = profileFor(Prog);
+  Options Opts;
+  Opts.Theta = 1.0;
+
+  SquashResult R;
+  PipelineContext Ctx(Prog, Prof, Opts, R);
+  PassManager PM;
+  buildStandardPipeline(PM);
+  ASSERT_TRUE(PM.runUntil(Ctx, "buffer-safe").ok());
+
+  for (const std::vector<unsigned> &Order :
+       {std::vector<unsigned>{1, 1, 0}, std::vector<unsigned>{0, 1},
+        std::vector<unsigned>{0, 1, 3}}) {
+    Expected<std::vector<std::vector<MInst>>> Lowered =
+        lowerStoredRegions(Ctx.program(), Ctx.cfg(), Ctx.Part,
+                           Ctx.BufferSafeFuncs, Opts, Order);
+    ASSERT_FALSE(Lowered.ok()) << Order.size();
+    EXPECT_EQ(Lowered.status().code(), StatusCode::InvalidArgument);
+    Expected<SquashedProgram> Rewritten =
+        rewriteProgram(Ctx.program(), Ctx.cfg(), Ctx.Part,
+                       Ctx.BufferSafeFuncs, Opts, CodecPlan(), Order);
+    ASSERT_FALSE(Rewritten.ok()) << Order.size();
+    EXPECT_EQ(Rewritten.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(Lowered.status().message(), Rewritten.status().message());
+  }
+
+  // A permutation lowers, and the explicit identity equals no order.
+  Expected<std::vector<std::vector<MInst>>> None = lowerStoredRegions(
+      Ctx.program(), Ctx.cfg(), Ctx.Part, Ctx.BufferSafeFuncs, Opts);
+  Expected<std::vector<std::vector<MInst>>> Identity =
+      lowerStoredRegions(Ctx.program(), Ctx.cfg(), Ctx.Part,
+                         Ctx.BufferSafeFuncs, Opts, {0, 1, 2});
+  ASSERT_TRUE(None.ok()) << None.status().toString();
+  ASSERT_TRUE(Identity.ok()) << Identity.status().toString();
+  EXPECT_EQ(None.get().size(), Identity.get().size());
+  for (size_t Reg = 0; Reg != None.get().size(); ++Reg) {
+    ASSERT_EQ(None.get()[Reg].size(), Identity.get()[Reg].size()) << Reg;
+    for (size_t I = 0; I != None.get()[Reg].size(); ++I)
+      EXPECT_EQ(encode(None.get()[Reg][I]), encode(Identity.get()[Reg][I]))
+          << Reg << ":" << I;
+  }
+  EXPECT_TRUE(lowerStoredRegions(Ctx.program(), Ctx.cfg(), Ctx.Part,
+                                 Ctx.BufferSafeFuncs, Opts, {2, 0, 1})
+                  .ok());
+}

@@ -102,7 +102,7 @@ TEST(Pipeline, StandardPassOrderIsStable) {
   const std::vector<std::string> Expected = {
       "cold-code",           "unswitch",    "filter-setjmp-indirect",
       "filter-computed-jump", "regions",    "buffer-safe",
-      "codec-select",         "layout",     "rewrite"};
+      "layout",               "codec-select", "rewrite"};
   EXPECT_EQ(standardPassNames(), Expected);
 
   PassManager PM;
